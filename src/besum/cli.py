@@ -12,6 +12,7 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,7 @@ from .construction import (
     get_growth,
     get_weights,
     membership,
+    rational_profile,
     sample_e_set,
 )
 from .dimension import condition_ii_check, dimension_lower_estimate, mass_check
@@ -56,6 +58,16 @@ EXIT_DEPTH = 4
 BIT_BUDGET_ENV = "BESUM_BIT_BUDGET"
 
 
+def _echo(text: str, err: bool = False) -> None:
+    """Write text to the current sys.stdout (sys.stderr if err).
+
+    Naming the stream matters: click.echo without a file caches a wrapper
+    per stream in a WeakKeyDictionary whose value keeps its key alive, so
+    the output captured by every in-process invocation would never be freed.
+    """
+    click.echo(text, file=sys.stderr if err else sys.stdout, nl=False)
+
+
 def _mapped_errors(fn):
     """Map domain errors onto the documented exit codes."""
 
@@ -64,13 +76,13 @@ def _mapped_errors(fn):
         try:
             return fn(*args, **kwargs)
         except InsufficientDepthError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}\n", err=True)
             sys.exit(EXIT_DEPTH)
         except ResourceBudgetError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}\n", err=True)
             sys.exit(EXIT_RESOURCE)
         except (ValueError, KeyError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}\n", err=True)
             sys.exit(EXIT_CONFIG)
 
     return wrapper
@@ -100,7 +112,7 @@ def _emit_csv(out: Path | None, params: dict, fields: list[str], rows: list[dict
         lines.append(",".join(str(row.get(f, "")) for f in fields))
     text = "\n".join(lines) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        _echo(text)
     else:
         out.write_text(text)
 
@@ -109,7 +121,7 @@ def _emit_json(out: Path | None, params: dict, payload: dict, seed: int | None =
     doc = {"provenance": _provenance(params, seed), **payload}
     text = json.dumps(doc, indent=2) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        _echo(text)
     else:
         out.write_text(text)
 
@@ -135,6 +147,8 @@ def _load_alpha(alpha: str | None, alpha_digits: str | None) -> Fraction | Facto
 
 def _n_schedule(n_max: int) -> list[int]:
     """Log-spaced checkpoints (1, 2, 5 per decade), always including n_max."""
+    if n_max < 1:
+        raise ValueError(f"--N must be >= 1, got {n_max}")
     points = []
     decade = 1
     while decade <= n_max:
@@ -148,7 +162,7 @@ def _n_schedule(n_max: int) -> list[int]:
 
 
 def _dry_run_exit(params: dict) -> None:
-    click.echo("dry-run: " + json.dumps({k: str(v) for k, v in sorted(params.items())}))
+    _echo("dry-run: " + json.dumps({k: str(v) for k, v in sorted(params.items())}) + "\n")
     sys.exit(0)
 
 
@@ -213,9 +227,11 @@ def sum_cmd(f_name, alpha, alpha_digits, n_max, out, dry_run):
 @click.option("--dry-run", is_flag=True)
 @_mapped_errors
 def sup_sweep(f_name, qmax, n_max, out, dry_run):
-    """Empirical sup of |S_{A(f)}(p/q, N)| against the rational-case bound."""
-    import math
+    """Empirical sup of |S_{A(f)}(p/q, N)| against the rational-case bound.
 
+    empirical_sup is over 1 <= N' <= N; the bound holds for N' >= q - 1, so
+    ok compares tail_sup, the sup over q - 1 <= N' <= N, with bound_rhs.
+    """
     params = dict(verb="sup-sweep", f=f_name, qmax=qmax, N=n_max)
     f = get_growth(f_name)
     if qmax < 2:
@@ -229,12 +245,14 @@ def sup_sweep(f_name, qmax, n_max, out, dry_run):
                 continue
             _, trace = af_sum_rational(f, p, q, n_max)
             rhs = eq4_rhs(f, p, q)
+            tail_sup = rational_profile(f, p, q).tail_sup(n_max)
             rows.append({
                 "alpha_num": p, "alpha_den": q, "N": n_max,
                 "empirical_sup": trace.sup_modulus, "sup_at": trace.sup_at,
-                "bound_rhs": rhs, "ok": trace.sup_modulus <= rhs,
+                "tail_sup": tail_sup, "bound_rhs": rhs, "ok": tail_sup <= rhs,
             })
-    fields = ["alpha_num", "alpha_den", "N", "empirical_sup", "sup_at", "bound_rhs", "ok"]
+    fields = ["alpha_num", "alpha_den", "N", "empirical_sup", "sup_at", "tail_sup", "bound_rhs",
+              "ok"]
     _emit_csv(out, params, fields, rows)
 
 

@@ -3,8 +3,10 @@
 Two sum paths are provided.  The rational path reduces every phase
 exactly with modular arithmetic (f(n)! mod q vanishes once f(n) >= q,
 so only finitely many factorial residues are ever needed and f(n)! is
-never materialized).  The factoradic path evaluates {f(n)! alpha} from
-the digit prefix and carries a rigorous accumulated phase-error bound.
+never materialized); past them the partial sums are periodic, so every
+N costs the same head plus one period (`RationalProfile`).  The
+factoradic path evaluates {f(n)! alpha} from the digit prefix and
+carries a rigorous accumulated phase-error bound.
 
 Sums here are indexed by n (term n is e((n + f(n)!) alpha)); an
 element-threshold wrapper converts to the sum over elements <= X via
@@ -13,6 +15,7 @@ monotonicity of n + f(n)!.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -20,7 +23,9 @@ from fractions import Fraction
 from math import factorial, lgamma
 from typing import Callable
 
-from .expsum import Angle, AngleLike, SumTrace, dirichlet_bound, e
+import numpy as np
+
+from .expsum import Angle, AngleLike, RootSums, SumTrace, dirichlet_bound, e
 from .factoradic import (
     FactoradicReal,
     InsufficientDepthError,
@@ -236,56 +241,110 @@ def index_for_element_bound(f: GrowthFunction, x: int) -> int:
         n += 1
 
 
+def _head_residues(f: GrowthFunction, q: int) -> list[int]:
+    """f(n)! mod q for n = 1..H, the n before the first f(n)! = 0 mod q.
+
+    Incremental modular products; H < q because f(n) >= n, so q | f(q)!.
+    """
+    out = []
+    fact_mod = 1
+    arg = 0
+    while True:
+        v = f(len(out) + 1)
+        for k in range(arg + 1, v + 1):
+            fact_mod = fact_mod * k % q
+            if fact_mod == 0:
+                return out
+        arg = v
+        out.append(fact_mod)
+
+
 def factorial_residues(f: GrowthFunction, q: int, n_max: int) -> list[int]:
-    """f(n)! mod q for n = 1..n_max, by incremental modular products.
+    """f(n)! mod q for n = 1..n_max.
 
     Once f(n) >= q the residue is 0 and stays 0 (f is increasing), so the
     costly part touches only the finitely many n with f(n) < q.
     """
-    res = []
-    fact_mod = 1
-    arg = 0
-    for n in range(1, n_max + 1):
-        v = f(n)
-        if fact_mod != 0:
-            for k in range(arg + 1, v + 1):
-                fact_mod = fact_mod * k % q
-                if fact_mod == 0:
-                    break
-        arg = v
-        res.append(fact_mod)
-    return res
+    head = _head_residues(f, q)[:n_max]
+    return head + [0] * (n_max - len(head))
+
+
+class RationalProfile:
+    """S(N) = sum_{n<=N} e((n + f(n)!) p/q) for every N, from H + q terms.
+
+    The head n <= H has f(n)! != 0 mod q (H < q); past it term n is
+    e(n p/q), and any q consecutive such terms sum to 0 (q does not divide
+    p), so S(N) = S(N - kq) for N > H + q.  `window(N)` is the index
+    <= H + q with the same partial sum, and every value, sup and first sup
+    index is read from the H + q partial sums in `sums`.
+    """
+
+    def __init__(self, f: GrowthFunction, p: int, q: int):
+        if q < 2:
+            raise ValueError("q must be >= 2")
+        if p % q == 0:
+            raise ValueError(f"p/q = {p}/{q} is an integer")
+        head = _head_residues(f, q)
+        self.head = len(head)
+        self.q = q
+        n = np.arange(1, self.head + q + 1, dtype=np.int64)
+        shift = np.array(head + [0] * q, dtype=np.int64)
+        self.sums = RootSums((n + shift) * (p % q) % q, q)
+
+    def window(self, n: int) -> int:
+        if n <= len(self.sums):
+            return n
+        return self.head + (n - self.head - 1) % self.q + 1
+
+    def value(self, n: int) -> complex:
+        return complex(self.sums.sums[self.window(n) - 1])
+
+    def sup(self, n: int) -> tuple[float, int]:
+        """(sup of |S(m)| over m <= n, the first m attaining it exactly)."""
+        return self.sums.sup(min(n, len(self.sums)))
+
+    def tail_sup(self, n_max: int) -> float:
+        """max |S(N)| over q - 1 <= N <= n_max (0.0 if none): where eq4_rhs applies.
+
+        N = H + q + j repeats window H + j, so N past H + q adds windows
+        H + 1 .. H + min(q, n_max - H - q).
+        """
+        lo = self.q - 1
+        if n_max < lo:
+            return 0.0
+        moduli = self.sums.moduli
+        top = moduli[lo - 1:min(n_max, len(moduli))].max()
+        if n_max > len(moduli):
+            top = max(top, moduli[self.head:self.head + min(self.q, n_max - len(moduli))].max())
+        return float(top)
+
+
+@functools.lru_cache(maxsize=8)
+def rational_profile(f: GrowthFunction, p: int, q: int) -> RationalProfile:
+    """The RationalProfile of (f, p, q), kept for the next few calls.
+
+    A verb asks for one angle at many N (the `sum` schedule) or twice in a
+    row (`sup-sweep`'s sum and bound), and each call reads the same profile.
+    """
+    return RationalProfile(f, p, q)
 
 
 def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> tuple[complex, SumTrace]:
-    """sum_{n<=N} e((n + f(n)!) p/q), every phase reduced exactly mod q.
+    """sum_{n<=N} e((n + f(n)!) p/q) and its prefix-sup trace, in O(q) for any N.
 
-    The phase of term n is ((n + f(n)! mod q) * p mod q) / q; terms are
-    drawn from a precomputed table of q-th roots of unity.
+    Read from the (f, p, q) RationalProfile: the sum is S(window(N)), the
+    sup the max over the first min(N, H + q) partial sums, and sup_at the
+    first index at which the exact sup is reached.  Float error: the sum,
+    its modulus and the sup are each within the profile's
+    sums.error = (H + q + 1)(32u + 2u sup) of exact (u = 2^-53) whatever N,
+    which is below 1e-9 for q <= 1000.  trace.count is N.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    roots = [e(k / q) for k in range(q)]
-    trace = SumTrace()
-    # Explicit residues while f(n) < q, then the tail is pure e(n p/q).
-    fact_mod = 1
-    arg = 0
-    n = 1
-    while n <= n_terms and fact_mod != 0:
-        v = f(n)
-        for k in range(arg + 1, v + 1):
-            fact_mod = fact_mod * k % q
-            if fact_mod == 0:
-                break
-        arg = v
-        trace.add_unit(roots[(n + fact_mod) * p % q])
-        n += 1
-    add = trace.add_unit  # hot loop: N up to 1e5
-    for m in range(n, n_terms + 1):
-        add(roots[m * p % q])
-    return trace.partial_sum, trace
+    profile = rational_profile(f, p, q)
+    total = profile.value(n_terms)
+    sup, sup_at = profile.sup(n_terms)
+    return total, SumTrace(total.real, total.imag, n_terms, sup, sup_at)
 
 
 def af_sum_factoradic(
@@ -342,6 +401,9 @@ def eq4_rhs(f: GrowthFunction, p: int, q: int) -> float:
     """Right side of the rational-case boundedness estimate:
 
     |sum_{n<q} e((n + f(n)!) p/q)| + 2 * dirichlet_bound(p/q) + 1.
+
+    The head sum comes from af_sum_rational, within its stated error
+    (the profile's sums.error); the rest adds a few ulps.
     """
     if q < 2:
         raise ValueError("q must be >= 2")

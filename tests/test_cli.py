@@ -1,6 +1,8 @@
+import gc
 import json
 from fractions import Fraction
 
+import click.testing
 import pytest
 from click.testing import CliRunner
 
@@ -69,6 +71,32 @@ class TestSumVerb:
         result = runner.invoke(main, ["sum", "--alpha", "1/3", "--N", "10", "--dry-run"])
         assert result.exit_code == 0
         assert result.output.startswith("dry-run:")
+
+    @pytest.mark.parametrize("verb", ["sum", "bound"])
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_nonpositive_n_is_config_error(self, runner, verb, n_max):
+        result = runner.invoke(main, [verb, "--alpha", "1/3", "--N", n_max])
+        assert result.exit_code == 2
+        assert "--N must be >= 1" in result.output
+        assert not isinstance(result.exception, IndexError)
+
+    def test_huge_n(self, runner):
+        result = runner.invoke(main, ["sum", "--f", "identity", "--alpha", "500/997",
+                                      "--N", str(10**12)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[-1].startswith("500,997,1000000000000,")
+
+
+def test_in_process_invocations_release_their_output(runner):
+    def captured():
+        return sum(isinstance(o, click.testing._NamedTextIOWrapper) for o in gc.get_objects())
+
+    gc.collect()
+    before = captured()
+    for _ in range(200):
+        assert runner.invoke(main, ["sum", "--alpha", "1/3", "--N", "10"]).exit_code == 0
+    gc.collect()
+    assert captured() - before <= 5
 
 
 class TestDeterminism:
@@ -145,6 +173,23 @@ class TestVerbs:
         result = runner.invoke(main, ["sup-sweep", "--qmax", "4", "--N", "500"])
         assert result.exit_code == 0
         assert "True" in result.output
+
+    def test_sup_sweep_ok_checks_the_bound_where_it_applies(self, runner):
+        # identity at 8/19 peaks at N = 6, above the bound, which holds for N >= q - 1.
+        result = runner.invoke(main, ["sup-sweep", "--f", "identity", "--qmax", "19", "--N", "100"])
+        assert result.exit_code == 0, result.output
+        lines = [ln for ln in result.output.splitlines() if not ln.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+        row = next(r for r in rows if (r["alpha_num"], r["alpha_den"]) == ("8", "19"))
+        assert float(row["empirical_sup"]) > float(row["bound_rhs"])
+        assert float(row["tail_sup"]) <= float(row["bound_rhs"])
+        assert all(r["ok"] == "True" for r in rows)
+
+    def test_sup_sweep_at_huge_n(self, runner):
+        result = runner.invoke(main, ["sup-sweep", "--qmax", "40", "--N", str(10**12)])
+        assert result.exit_code == 0, result.output
+        rows = [ln for ln in result.output.splitlines() if not ln.startswith("#")][1:]
+        assert len(rows) == 489 and all(ln.endswith(",True") for ln in rows)
 
     def test_periodicity(self, runner, tmp_path):
         coeffs = tmp_path / "c.coeffs"
