@@ -204,6 +204,7 @@ def sum_cmd(f_name, alpha, alpha_digits, n_max, out, dry_run):
     rows = []
     if isinstance(value, Fraction):
         angle = Angle(value)
+        rational_profile.cache_clear()  # one profile per invocation, for every N below
         for n in _n_schedule(n_max):
             _, trace = af_sum_rational(f, value.numerator, value.denominator, n)
             rows.append(csv_row(angle, trace))
@@ -239,6 +240,7 @@ def sup_sweep(f_name, qmax, n_max, out, dry_run):
     if dry_run:
         _dry_run_exit(params)
     rows = []
+    rational_profile.cache_clear()  # profiles last one invocation
     for q in range(2, qmax + 1):
         for p in range(1, q):
             if math.gcd(p, q) != 1:

@@ -325,6 +325,8 @@ def rational_profile(f: GrowthFunction, p: int, q: int) -> RationalProfile:
 
     A verb asks for one angle at many N (the `sum` schedule) or twice in a
     row (`sup-sweep`'s sum and bound), and each call reads the same profile.
+    The `sum` and `sup-sweep` verbs clear the cache when they start, so no
+    profile outlives the invocation that built it.
     """
     return RationalProfile(f, p, q)
 

@@ -29,10 +29,13 @@ from .factoradic import FactoradicReal, Tail, decode
 
 TWO_PI = 2.0 * math.pi
 UNIT_ROUNDOFF = 2.0**-53
-# Bound on |fl(e(k/q)) - e(k/q)| for roots_of_unity: the angle 2*pi*k/q
-# takes three roundings (at most 6*pi*u) and cos and sin one ulp each;
+# Bound on |fl(e(r/q)) - e(r/q)| for roots_at: the angle 2*pi*r/q
+# takes three roundings (at most 6*pi*u; as many for a rounded turn r/q
+# passed with q = 1), and cos and sin one ulp each;
 # measured at most 14.4u for q <= 200 and q = 997, 1000.
 ROOT_ERROR = 32 * UNIT_ROUNDOFF
+# Terms per numpy batch in qn_counterexample_sup.
+_QN_CHUNK = 1 << 16
 
 AngleLike = Union[Fraction, FactoradicReal, "Angle"]
 
@@ -132,9 +135,13 @@ class SumTrace:
         self.add_unit(e(float(t)))
 
 
-def roots_of_unity(q: int) -> np.ndarray:
-    """e(k/q) for k = 0..q-1, each within ROOT_ERROR of the exact value."""
-    return np.exp(2j * np.pi * np.arange(q) / q)
+def roots_at(residues: np.ndarray, q: int) -> np.ndarray:
+    """e(r/q) for each residue r, each within ROOT_ERROR of the exact value.
+
+    Only the residues given are evaluated, so the cost is their number,
+    not q.
+    """
+    return np.exp(2j * np.pi * residues / q)
 
 
 def _prime_factors(q: int) -> list[int]:
@@ -201,7 +208,7 @@ class RootSums:
     def __init__(self, residues: np.ndarray, q: int):
         self.q = q
         self.residues = np.asarray(residues, dtype=np.int64)
-        self.sums = np.cumsum(roots_of_unity(q)[self.residues])
+        self.sums = np.cumsum(roots_at(self.residues, q))
         self.moduli = np.abs(self.sums)
         self._running_max = np.maximum.accumulate(self.moduli)
         top = float(self._running_max[-1])
@@ -215,24 +222,25 @@ class RootSums:
         """(max of |S_m| over m <= n, the first m at which the exact max is reached).
 
         Every m whose float modulus is within twice `error` of the float
-        max is a candidate; candidates are compared exactly, in order, each
-        new one at O(q^2) cost (the autocorrelation in `_square`).
+        max is a candidate; candidates are compared exactly with the best so
+        far, in order, each new one at O(q^2) cost (the autocorrelation in
+        `_square`).
         """
         if n not in self._sups:
             near = np.flatnonzero(self.moduli[:n] >= self._running_max[n - 1] - 2 * self.error)
             best = int(near[0])
+            best_square = self._square(best) if len(near) > 1 else None
             for m in near[1:]:
-                if self._compare(int(m), best) > 0:
-                    best = int(m)
+                square = self._square(int(m))
+                if self._sign(square - best_square, self.moduli[m] - self.moduli[best]) > 0:
+                    best, best_square = int(m), square
             self._sups[n] = (float(self.moduli[best]), best + 1)
         return self._sups[n]
 
-    def _compare(self, i: int, j: int) -> int:
-        """Sign of |S_{i+1}|^2 - |S_{j+1}|^2, exactly."""
-        diff = self._square(i) - self._square(j)
+    def _sign(self, diff: np.ndarray, gap: float) -> int:
+        """Sign of the real number sum_d diff[d] e(d/q), exactly; gap is its float estimate."""
         if vanishes_at_root(diff, self.q):
             return 0
-        gap = self.moduli[i] - self.moduli[j]
         if abs(gap) > 2 * self.error:
             return 1 if gap > 0 else -1
         return sign_at_root(diff, self.q)
@@ -310,8 +318,10 @@ def qn_counterexample_sup(q: int, alpha: AngleLike, n_max: int) -> float:
     N/q when alpha = p/q, since every term is then e(0) = 1.  For rational
     alpha = a/b the terms e(k * qa/b) repeat with period b/gcd(qa mod b, b)
     and a full period sums to 0, so the sup is exactly n_max // q at
-    resonance and otherwise the max over the first period, within that
-    period's RootSums.error.
+    resonance and otherwise the max over the first period, each of its K
+    partial sums within (K + 1)(ROOT_ERROR + 2u sup) of exact as in RootSums.
+    The terms are summed _QN_CHUNK at a time, so memory does not grow with
+    the period or with b.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -326,8 +336,21 @@ def qn_counterexample_sup(q: int, alpha: AngleLike, n_max: int) -> float:
     step = q * a % b
     if step == 0 or terms < 1:
         return float(max(terms, 0))
-    k = np.arange(1, min(terms, b // math.gcd(step, b)) + 1)
-    return float(RootSums(k * step % b, b).moduli.max())
+    count = min(terms, b // math.gcd(step, b))
+    best, total = 0.0, 0j
+    for start in range(1, count + 1, _QN_CHUNK):
+        stop = min(start + _QN_CHUNK, count + 1)
+        if b * stop < 2**63:
+            roots = roots_at(np.arange(start, stop, dtype=np.int64) * step % b, b)
+        else:
+            # Past int64, each turn is a correctly rounded Python int division.
+            roots = roots_at(np.array([k * step % b / b for k in range(start, stop)]), 1)
+        # Carrying the total in as the first addend keeps the summation order
+        # of one cumsum over the whole period.
+        sums = np.cumsum(np.concatenate(([total], roots)))[1:]
+        best = max(best, float(np.abs(sums).max()))
+        total = sums[-1]
+    return best
 
 
 def csv_row(alpha: Angle, trace: SumTrace) -> dict:

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from besum.cli import main
+from besum.construction import rational_profile
 from besum.factoradic import encode, write_digit_file
 from besum.periodicity import CoefficientSequence, write_coeffs_file
 
@@ -79,6 +80,14 @@ class TestSumVerb:
         assert result.exit_code == 2
         assert "--N must be >= 1" in result.output
         assert not isinstance(result.exception, IndexError)
+
+    def test_one_profile_per_invocation(self, runner):
+        for _ in range(2):
+            result = runner.invoke(main, ["sum", "--alpha", "2/7", "--N", "1000"])
+            assert result.exit_code == 0, result.output
+            info = rational_profile.cache_info()
+            # Built once, then read at the other nine schedule points.
+            assert (info.misses, info.hits) == (1, 9)
 
     def test_huge_n(self, runner):
         result = runner.invoke(main, ["sum", "--f", "identity", "--alpha", "500/997",
@@ -218,6 +227,13 @@ class TestVerbs:
         result = runner.invoke(main, ["qn-demo", "--q", "3", "--alpha", "1/3", "--N", "300"])
         assert result.exit_code == 0
         assert json.loads(result.output)["empirical_sup"] == pytest.approx(100)
+
+    def test_qn_demo_with_a_large_denominator(self, runner):
+        # A ten-digit decimal is 1234567891/10^10: 1000 terms, not a period of 10^10.
+        result = runner.invoke(main, ["qn-demo", "--q", "3", "--alpha", "0.1234567891",
+                                      "--N", "3000"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["empirical_sup"] == pytest.approx(1.0872263217241)
 
     def test_every_verb_has_dry_run(self, runner, tmp_path):
         digits = write_sample_digits(tmp_path / "a.digits")

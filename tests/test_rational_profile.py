@@ -8,6 +8,7 @@ polynomial.
 
 import functools
 import math
+from fractions import Fraction
 from math import factorial
 
 import mpmath
@@ -16,8 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besum import expsum
 from besum.construction import RationalProfile, af_sum_rational, get_growth
-from besum.expsum import ROOT_ERROR, RootSums, roots_of_unity, sign_at_root, vanishes_at_root
+from besum.expsum import (
+    ROOT_ERROR,
+    RootSums,
+    qn_counterexample_sup,
+    roots_at,
+    sign_at_root,
+    vanishes_at_root,
+)
 
 
 def brute_residues(f_name: str, p: int, q: int, n_max: int) -> list[int]:
@@ -193,10 +202,21 @@ class TestRootSums:
     def test_roots_within_stated_error(self):
         with mpmath.workprec(120):
             for q in (2, 3, 7, 60, 997, 1000):
-                roots = roots_of_unity(q)
+                roots = roots_at(np.arange(q), q)
                 for k in range(q):
                     exact = mpmath.expjpi(mpmath.mpf(2 * k) / q)
                     assert abs(mpmath.mpc(complex(roots[k])) - exact) <= ROOT_ERROR
+
+    def test_rounded_turns_within_stated_error(self):
+        # Denominators past int64 reach roots_at as turns r/q rounded to float, with q = 1.
+        rng = np.random.default_rng(11)
+        with mpmath.workprec(200):
+            for q in (10**10 + 19, 2**64 + 13, 10**40 + 3):
+                residues = [int(rng.integers(0, 2**62)) * q // 2**62 for _ in range(200)]
+                roots = roots_at(np.array([r / q for r in residues]), 1)
+                for r, root in zip(residues, roots):
+                    exact = mpmath.expjpi(mpmath.mpf(2 * r) / q)
+                    assert abs(mpmath.mpc(complex(root)) - exact) <= ROOT_ERROR
 
     def test_square_is_the_exact_squared_modulus(self):
         rng = np.random.default_rng(5)
@@ -244,3 +264,48 @@ class TestRootSums:
         sums = RootSums([1, 1, 2, 2], 3)
         value, at = sums.sup(4)
         assert at == 2 and math.isclose(value, 2.0)
+
+    def test_sup_compares_each_candidate_with_the_best_so_far(self):
+        # A widened error makes every index a candidate, so the exact
+        # comparisons alone must find the first of the tied maxima 2 = |S_2| = |S_4|.
+        sums = RootSums([1, 1, 2, 2], 3)
+        sums.error = 1.0
+        value, at = sums.sup(4)
+        assert at == 2 and math.isclose(value, 2.0)
+
+
+def exact_qn_sup(q: int, a: int, b: int, n_max: int) -> float:
+    """max over K <= n_max // q of |sum_{k<=K} e(k q a/b)|, each sum at 100 bits."""
+    with mpmath.workprec(100):
+        total, best = mpmath.mpc(0), mpmath.mpf(0)
+        for k in range(1, n_max // q + 1):
+            total += mpmath.expjpi(mpmath.mpf(2 * (k * q * a % b)) / b)
+            best = max(best, abs(total))
+        return float(best)
+
+
+class TestQnCounterexample:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.integers(2, 9),
+        b=st.one_of(st.integers(2, 400), st.integers(10**9, 10**12), st.integers(2**63, 10**30)),
+        a_frac=st.floats(0, 1, exclude_max=True),
+        n_max=st.integers(0, 1500),
+    )
+    def test_matches_exact_sums_across_batches(self, q, b, a_frac, n_max):
+        a = max(1, min(b - 1, int(a_frac * b)))
+        # Batches of 7 terms, so the running total is carried across many of them.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expsum, "_QN_CHUNK", 7)
+            got = qn_counterexample_sup(q, Fraction(a, b), n_max)
+        assert abs(got - exact_qn_sup(q, a, b, n_max)) <= 1e-9
+
+    def test_large_denominator_reads_only_the_terms_it_needs(self):
+        # b = 10^10: the sup over 1000 terms must not build anything of size b.
+        a = Fraction("0.1234567891")
+        assert a.denominator == 10**10
+        got = qn_counterexample_sup(3, a, 3000)
+        assert abs(got - exact_qn_sup(3, a.numerator, a.denominator, 3000)) <= 1e-9
+
+    def test_resonance_is_exact(self):
+        assert qn_counterexample_sup(7, Fraction(3, 7), 10**15) == 10**15 // 7
