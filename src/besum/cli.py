@@ -11,8 +11,10 @@ from __future__ import annotations
 import datetime
 import functools
 import hashlib
+import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +23,7 @@ import click
 
 from . import __version__
 from .construction import (
+    DEFAULT_BIT_BUDGET,
     DigitConstraintSet,
     ResourceBudgetError,
     af_elements,
@@ -39,6 +42,7 @@ from .expsum import Angle, csv_row, qn_counterexample_sup
 from .factoradic import (
     FactoradicReal,
     InsufficientDepthError,
+    decode,
     encode,
     read_digit_file,
     write_digit_file,
@@ -56,6 +60,9 @@ EXIT_RESOURCE = 3
 EXIT_DEPTH = 4
 
 BIT_BUDGET_ENV = "BESUM_BIT_BUDGET"
+# Options outside the hashed config: where output goes, --dry-run, and the
+# seed, which the provenance reports on its own.
+_UNHASHED = ("out", "out_dir", "dry_run", "seed")
 
 
 def _echo(text: str, err: bool = False) -> None:
@@ -68,87 +75,123 @@ def _echo(text: str, err: bool = False) -> None:
     click.echo(text, file=sys.stderr if err else sys.stdout, nl=False)
 
 
-def _mapped_errors(fn):
-    """Map domain errors onto the documented exit codes."""
+def verb(group: click.Group, name: str):
+    """Declare the decorated function as the CLI verb `name` under `group`.
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InsufficientDepthError as exc:
-            _echo(f"error: {exc}\n", err=True)
-            sys.exit(EXIT_DEPTH)
-        except ResourceBudgetError as exc:
-            _echo(f"error: {exc}\n", err=True)
-            sys.exit(EXIT_RESOURCE)
-        except (ValueError, KeyError) as exc:
-            _echo(f"error: {exc}\n", err=True)
-            sys.exit(EXIT_CONFIG)
+    The verb gets a --dry-run flag (see _stop_if_dry_run) and domain errors
+    end in the documented exit codes; the function takes every other option.
+    """
+    def declare(fn):
+        @functools.wraps(fn)
+        def run(dry_run, **options):
+            try:
+                fn(**options)
+            except InsufficientDepthError as exc:
+                _echo(f"error: {exc}\n", err=True)
+                sys.exit(EXIT_DEPTH)
+            except ResourceBudgetError as exc:
+                _echo(f"error: {exc}\n", err=True)
+                sys.exit(EXIT_RESOURCE)
+            except (ValueError, KeyError) as exc:
+                _echo(f"error: {exc}\n", err=True)
+                sys.exit(EXIT_CONFIG)
 
-    return wrapper
+        # Options given to a command are appended, so --dry-run comes last.
+        return click.option("--dry-run", is_flag=True)(group.command(name)(run))
+    return declare
 
 
-def _config_hash(params: dict) -> str:
-    blob = json.dumps({k: str(v) for k, v in sorted(params.items())}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def _at_least(low: int):
+    """Option callback: reject integers below low (exit 2, --dry-run included)."""
+    def check(ctx, param, value):
+        if value < low:
+            raise click.BadParameter(f"{param.opts[0]} must be >= {low}, got {value}")
+        return value
+    return check
 
 
-def _provenance(params: dict, seed: int | None = None) -> dict:
+_F = click.option("--f", default="n2", show_default=True, help="Growth function name.")
+_A = click.option("--a", default="n2", show_default=True)
+_N = click.option("--N", "N", type=int, required=True, callback=_at_least(1))
+_OUT = click.option("--out", type=click.Path(path_type=Path), default=None)
+
+
+def _config() -> str:
+    """The running verb's name and options, but _UNHASHED, as canonical JSON text."""
+    ctx = click.get_current_context()
+    config = {k: str(v) for k, v in ctx.params.items() if k not in _UNHASHED}
+    # The command path without the program name: "sum", "factoradic-encode".
+    prog = ctx.find_root().command_path
+    config["verb"] = ctx.command_path[len(prog):].strip().replace(" ", "-")
+    return json.dumps(config, sort_keys=True)
+
+
+def _stop_if_dry_run() -> None:
+    """Under --dry-run, print the config and exit 0; verbs call this once their inputs check out."""
+    if click.get_current_context().params["dry_run"]:
+        _echo(f"dry-run: {_config()}\n")
+        sys.exit(0)
+
+
+def _provenance(seed: int | None) -> dict:
     return {
         "tool": f"besum {__version__}",
-        "config_hash": _config_hash(params),
+        "config_hash": hashlib.sha256(_config().encode()).hexdigest()[:16],
         "seed": seed,
         # Excluded from the determinism contract.
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
 
-def _emit_csv(out: Path | None, params: dict, fields: list[str], rows: list[dict],
-              seed: int | None = None) -> None:
-    prov = _provenance(params, seed)
-    lines = [f"# {k}={v}" for k, v in prov.items()]
+def _emit(out: Path | None, text: str) -> None:
+    if out is None:
+        _echo(text)
+    else:
+        out.write_text(text)
+
+
+def _emit_csv(out: Path | None, fields: list[str], rows: list[dict]) -> None:
+    lines = [f"# {k}={v}" for k, v in _provenance(None).items()]
     lines.append(",".join(fields))
     for row in rows:
         lines.append(",".join(str(row.get(f, "")) for f in fields))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        _echo(text)
-    else:
-        out.write_text(text)
+    _emit(out, "\n".join(lines) + "\n")
 
 
-def _emit_json(out: Path | None, params: dict, payload: dict, seed: int | None = None) -> None:
-    doc = {"provenance": _provenance(params, seed), **payload}
-    text = json.dumps(doc, indent=2) + "\n"
-    if out is None:
-        _echo(text)
-    else:
-        out.write_text(text)
+def _emit_json(out: Path | None, payload: dict, seed: int | None = None) -> None:
+    doc = {"provenance": _provenance(seed), **payload}
+    # Strict JSON: a NaN or an infinity is an error, not a non-standard constant.
+    _emit(out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def _parse_rational(text: str) -> Fraction:
+def _emit_digits(out: Path | None, value: FactoradicReal) -> None:
+    buf = io.StringIO()
+    write_digit_file(value, buf)
+    _emit(out, buf.getvalue())
+
+
+def _parse_rational(text: str, option: str) -> Fraction:
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"--alpha: cannot parse {text!r} as p/q: {exc}")
+        raise click.UsageError(f"{option}: cannot parse {text!r} as p/q: {exc}")
+
+
+def _load_alpha(alpha: str | None, alpha_digits: str | None = None) -> Fraction | FactoradicReal:
+    """The angle: --alpha, a rational in (0,1), or --alpha-digits, a digit file; exactly one."""
+    if (alpha is None) == (alpha_digits is None):
+        raise click.UsageError("give exactly one of --alpha or --alpha-digits")
+    if alpha_digits is not None:
+        with open(alpha_digits) as fp:
+            return read_digit_file(fp)
+    value = _parse_rational(alpha, "--alpha")
     if not (0 < value < 1):
-        raise click.UsageError(f"--alpha: {text} outside (0,1)")
+        raise click.UsageError(f"--alpha: {alpha} outside (0,1)")
     return value
 
 
-def _load_alpha(alpha: str | None, alpha_digits: str | None) -> Fraction | FactoradicReal:
-    if (alpha is None) == (alpha_digits is None):
-        raise click.UsageError("give exactly one of --alpha or --alpha-digits")
-    if alpha is not None:
-        return _parse_rational(alpha)
-    with open(alpha_digits) as fp:
-        return read_digit_file(fp)
-
-
 def _n_schedule(n_max: int) -> list[int]:
-    """Log-spaced checkpoints (1, 2, 5 per decade), always including n_max."""
-    if n_max < 1:
-        raise ValueError(f"--N must be >= 1, got {n_max}")
+    """Log-spaced checkpoints (1, 2, 5 per decade), always including n_max >= 1."""
     points = []
     decade = 1
     while decade <= n_max:
@@ -161,19 +204,8 @@ def _n_schedule(n_max: int) -> list[int]:
     return points
 
 
-def _dry_run_exit(params: dict) -> None:
-    _echo("dry-run: " + json.dumps({k: str(v) for k, v in sorted(params.items())}) + "\n")
-    sys.exit(0)
-
-
 def _bit_budget() -> int:
-    import os
-
-    raw = os.environ.get(BIT_BUDGET_ENV)
-    if raw is None:
-        from .construction import DEFAULT_BIT_BUDGET
-
-        return DEFAULT_BIT_BUDGET
+    raw = os.environ.get(BIT_BUDGET_ENV, str(DEFAULT_BIT_BUDGET))
     try:
         return int(raw)
     except ValueError:
@@ -186,76 +218,67 @@ def main():
     """Exact-arithmetic laboratory for bounded exponential sums."""
 
 
-@main.command("sum")
-@click.option("--f", "f_name", default="n2", show_default=True, help="Growth function name.")
+@verb(main, "sum")
+@_F
 @click.option("--alpha", default=None, help="Rational angle p/q in (0,1).")
 @click.option("--alpha-digits", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--N", "n_max", type=int, required=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def sum_cmd(f_name, alpha, alpha_digits, n_max, out, dry_run):
+@_N
+@_OUT
+def sum_cmd(f, alpha, alpha_digits, N, out):
     """Sum e((n+f(n)!) alpha) for n <= N, snapshots on a log-spaced schedule."""
-    params = dict(verb="sum", f=f_name, alpha=alpha, alpha_digits=alpha_digits, N=n_max)
-    f = get_growth(f_name)
+    f = get_growth(f)
     value = _load_alpha(alpha, alpha_digits)
-    if dry_run:
-        _dry_run_exit(params)
+    _stop_if_dry_run()
     rows = []
     if isinstance(value, Fraction):
         angle = Angle(value)
         rational_profile.cache_clear()  # one profile per invocation, for every N below
-        for n in _n_schedule(n_max):
+        for n in _n_schedule(N):
             _, trace = af_sum_rational(f, value.numerator, value.denominator, n)
             rows.append(csv_row(angle, trace))
         fields = ["alpha_num", "alpha_den", "N", "re", "im", "modulus", "empirical_sup", "sup_at"]
     else:
-        for n in _n_schedule(n_max):
+        for n in _n_schedule(N):
             total, phase_error = af_sum_factoradic(f, value, n)
             rows.append({
                 "alpha_digits_file": alpha_digits, "N": n, "re": total.real,
                 "im": total.imag, "modulus": abs(total), "phase_error": phase_error,
             })
         fields = ["alpha_digits_file", "N", "re", "im", "modulus", "phase_error"]
-    _emit_csv(out, params, fields, rows)
+    _emit_csv(out, fields, rows)
 
 
-@main.command("sup-sweep")
-@click.option("--f", "f_name", default="n2", show_default=True)
-@click.option("--qmax", type=int, required=True, help="All reduced p/q with q <= qmax.")
-@click.option("--N", "n_max", type=int, required=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def sup_sweep(f_name, qmax, n_max, out, dry_run):
+@verb(main, "sup-sweep")
+@_F
+@click.option("--qmax", type=int, required=True, callback=_at_least(2),
+              help="All reduced p/q with q <= qmax.")
+@_N
+@_OUT
+def sup_sweep(f, qmax, N, out):
     """Empirical sup of |S_{A(f)}(p/q, N)| against the rational-case bound.
 
     empirical_sup is over 1 <= N' <= N; the bound holds for N' >= q - 1, so
     ok compares tail_sup, the sup over q - 1 <= N' <= N, with bound_rhs.
     """
-    params = dict(verb="sup-sweep", f=f_name, qmax=qmax, N=n_max)
-    f = get_growth(f_name)
-    if qmax < 2:
-        raise click.UsageError("--qmax must be >= 2")
-    if dry_run:
-        _dry_run_exit(params)
+    f = get_growth(f)
+    _stop_if_dry_run()
     rows = []
     rational_profile.cache_clear()  # profiles last one invocation
     for q in range(2, qmax + 1):
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
-            _, trace = af_sum_rational(f, p, q, n_max)
+            _, trace = af_sum_rational(f, p, q, N)
             rhs = eq4_rhs(f, p, q)
-            tail_sup = rational_profile(f, p, q).tail_sup(n_max)
+            tail_sup = rational_profile(f, p, q).tail_sup(N)
             rows.append({
-                "alpha_num": p, "alpha_den": q, "N": n_max,
+                "alpha_num": p, "alpha_den": q, "N": N,
                 "empirical_sup": trace.sup_modulus, "sup_at": trace.sup_at,
                 "tail_sup": tail_sup, "bound_rhs": rhs, "ok": tail_sup <= rhs,
             })
     fields = ["alpha_num", "alpha_den", "N", "empirical_sup", "sup_at", "tail_sup", "bound_rhs",
               "ok"]
-    _emit_csv(out, params, fields, rows)
+    _emit_csv(out, fields, rows)
 
 
 @main.group("factoradic")
@@ -263,253 +286,190 @@ def factoradic_group():
     """Encode/decode factorial-base digit files."""
 
 
-@factoradic_group.command("encode")
+@verb(factoradic_group, "encode")
 @click.option("--value", required=True, help="Rational p/q in [0,1).")
 @click.option("--depth", type=int, default=32, show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def factoradic_encode(value, depth, out, dry_run):
-    params = dict(verb="factoradic-encode", value=value, depth=depth)
-    x = Fraction(value)
-    if dry_run:
-        _dry_run_exit(params)
-    f = encode(x, depth)
-    if out is None:
-        write_digit_file(f, sys.stdout)
-    else:
-        with open(out, "w") as fp:
-            write_digit_file(f, fp)
+@_OUT
+def factoradic_encode(value, depth, out):
+    x = _parse_rational(value, "--value")
+    _stop_if_dry_run()
+    _emit_digits(out, encode(x, depth))
 
 
-@factoradic_group.command("decode")
-@click.option("--digits", "digits_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def factoradic_decode(digits_path, out, dry_run):
-    from .factoradic import decode as fdecode
-
-    params = dict(verb="factoradic-decode", digits=digits_path)
-    with open(digits_path) as fp:
+@verb(factoradic_group, "decode")
+@click.option("--digits", required=True, type=click.Path(exists=True, dir_okay=False))
+@_OUT
+def factoradic_decode(digits, out):
+    with open(digits) as fp:
         f = read_digit_file(fp)
-    if dry_run:
-        _dry_run_exit(params)
-    lower, upper = fdecode(f)
-    _emit_json(out, params, {
+    _stop_if_dry_run()
+    lower, upper = decode(f)
+    _emit_json(out, {
         "depth": f.depth, "tail": f.tail.value,
         "lower": str(lower), "upper": str(upper),
     })
 
 
-@main.command("construct")
-@click.option("--f", "f_name", default="n2", show_default=True)
+@verb(main, "construct")
+@_F
 @click.option("--nmax", type=int, required=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def construct(f_name, nmax, out, dry_run):
+@_OUT
+def construct(f, nmax, out):
     """List the exact elements n + f(n)! for n <= nmax."""
-    params = dict(verb="construct", f=f_name, nmax=nmax)
-    f = get_growth(f_name)
-    if dry_run:
-        _dry_run_exit(params)
+    f = get_growth(f)
+    _stop_if_dry_run()
     elements = af_elements(f, nmax, bit_budget=_bit_budget())
     rows = [{"n": n, "element": el} for n, el in enumerate(elements, start=1)]
-    _emit_csv(out, params, ["n", "element"], rows)
+    _emit_csv(out, ["n", "element"], rows)
 
 
-@main.command("membership")
-@click.option("--f", "f_name", default="n2", show_default=True)
-@click.option("--a", "a_name", default="n2", show_default=True)
+@verb(main, "membership")
+@_F
+@_A
 @click.option("--alpha-digits", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def membership_cmd(f_name, a_name, alpha_digits, out, dry_run):
+@_OUT
+def membership_cmd(f, a, alpha_digits, out):
     """Three-valued E(f,a) membership of a digit-file angle."""
-    params = dict(verb="membership", f=f_name, a=a_name, alpha_digits=alpha_digits)
-    constraints = DigitConstraintSet(get_growth(f_name), get_weights(a_name))
+    constraints = DigitConstraintSet(get_growth(f), get_weights(a))
     with open(alpha_digits) as fp:
         alpha = read_digit_file(fp)
-    if dry_run:
-        _dry_run_exit(params)
+    _stop_if_dry_run()
     verdict = membership(constraints, alpha)
-    _emit_json(out, params, {"membership": verdict.value, "depth": alpha.depth})
+    _emit_json(out, {"membership": verdict.value, "depth": alpha.depth})
 
 
-@main.command("sample-e")
-@click.option("--f", "f_name", default="n2", show_default=True)
-@click.option("--a", "a_name", default="n2", show_default=True)
+@verb(main, "sample-e")
+@_F
+@_A
 @click.option("--depth", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=int, default=1, show_default=True)
+@click.option("--count", type=int, default=1, show_default=True, callback=_at_least(1))
 @click.option("--out-dir", type=click.Path(path_type=Path), default=None,
               help="Write one digit file per sample here; default prints digit files.")
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def sample_e(f_name, a_name, depth, seed, count, out_dir, dry_run):
+def sample_e(f, a, depth, seed, count, out_dir):
     """Seeded samples from E(f,a), emitted as digit files."""
-    params = dict(verb="sample-e", f=f_name, a=a_name, depth=depth, count=count)
-    constraints = DigitConstraintSet(get_growth(f_name), get_weights(a_name))
-    if dry_run:
-        _dry_run_exit(params)
+    constraints = DigitConstraintSet(get_growth(f), get_weights(a))
+    _stop_if_dry_run()
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(count):
-        sample = sample_e_set(constraints, depth, seed + i)
-        if out_dir is None:
-            write_digit_file(sample, sys.stdout)
-        else:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / f"sample_{seed + i}.digits", "w") as fp:
-                write_digit_file(sample, fp)
+        out = None if out_dir is None else out_dir / f"sample_{seed + i}.digits"
+        _emit_digits(out, sample_e_set(constraints, depth, seed + i))
 
 
-@main.command("bound")
-@click.option("--f", "f_name", default="n2", show_default=True)
-@click.option("--a", "a_name", default="n2", show_default=True)
+@verb(main, "bound")
+@_F
+@_A
 @click.option("--alpha", required=True, help="Rational angle p/q.")
-@click.option("--N", "n_max", type=int, required=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def bound_cmd(f_name, a_name, alpha, n_max, out, dry_run):
+@_N
+@_OUT
+def bound_cmd(f, a, alpha, N, out):
     """The closed-form boundedness estimate for A(f) over E(f,a)."""
-    params = dict(verb="bound", f=f_name, a=a_name, alpha=alpha, N=n_max)
-    f = get_growth(f_name)
-    a = get_weights(a_name)
-    value = _parse_rational(alpha)
-    if dry_run:
-        _dry_run_exit(params)
-    rows = [{"N": n, "bound": bound_theoretical(f, a, value, n)} for n in _n_schedule(n_max)]
-    _emit_csv(out, params, ["N", "bound"], rows)
+    f = get_growth(f)
+    a = get_weights(a)
+    value = _load_alpha(alpha)
+    _stop_if_dry_run()
+    rows = [{"N": n, "bound": bound_theoretical(f, a, value, n)} for n in _n_schedule(N)]
+    _emit_csv(out, ["N", "bound"], rows)
 
 
-@main.command("dimension")
-@click.option("--f", "f_name", default="n2", show_default=True)
-@click.option("--a", "a_name", default="n2", show_default=True)
+@verb(main, "dimension")
+@_F
+@_A
 @click.option("--jmax", type=int, required=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def dimension_cmd(f_name, a_name, jmax, out, dry_run):
+@_OUT
+def dimension_cmd(f, a, jmax, out):
     """log(cylinder count)/log(j!) series: the full-dimension proxy."""
-    params = dict(verb="dimension", f=f_name, a=a_name, jmax=jmax)
-    constraints = DigitConstraintSet(get_growth(f_name), get_weights(a_name))
-    if dry_run:
-        _dry_run_exit(params)
+    constraints = DigitConstraintSet(get_growth(f), get_weights(a))
+    _stop_if_dry_run()
     series = dimension_lower_estimate(constraints, jmax)
-    _emit_json(out, params, {"series": [{"j": j, "ratio": r} for j, r in series]})
+    _emit_json(out, {"series": [{"j": j, "ratio": r} for j, r in series]})
 
 
-@main.command("mass-check")
-@click.option("--f", "f_name", default="n2", show_default=True)
-@click.option("--a", "a_name", default="n2", show_default=True)
+@verb(main, "mass-check")
+@_F
+@_A
 @click.option("--s", type=float, required=True)
 @click.option("--i0", type=int, default=3, show_default=True)
 @click.option("--imax", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def mass_check_cmd(f_name, a_name, s, i0, imax, seed, out, dry_run):
+@_OUT
+def mass_check_cmd(f, a, s, i0, imax, seed, out):
     """Empirical mass-distribution check mu(B) <= a |B|^s."""
-    params = dict(verb="mass-check", f=f_name, a=a_name, s=s, i0=i0, imax=imax)
-    constraints = DigitConstraintSet(get_growth(f_name), get_weights(a_name))
-    if dry_run:
-        _dry_run_exit(params)
+    constraints = DigitConstraintSet(get_growth(f), get_weights(a))
+    _stop_if_dry_run()
     report = mass_check(constraints, s, i0, imax, seed=seed)
-    _emit_json(out, params, report.to_json_dict(), seed=seed)
+    _emit_json(out, report.to_json_dict(), seed=seed)
 
 
-@main.command("cond-ii")
-@click.option("--f", "f_name", default="n2", show_default=True)
+@verb(main, "cond-ii")
+@_F
 @click.option("--eps", type=float, required=True)
-@click.option("--imax", type=int, required=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def cond_ii(f_name, eps, imax, out, dry_run):
+@click.option("--imax", type=int, required=True, callback=_at_least(1))
+@_OUT
+def cond_ii(f, eps, imax, out):
     """Growth-condition statistic sup_i [sum log(f(j)+1) - eps log i!]."""
-    params = dict(verb="cond-ii", f=f_name, eps=eps, imax=imax)
-    f = get_growth(f_name)
-    if dry_run:
-        _dry_run_exit(params)
+    f = get_growth(f)
+    _stop_if_dry_run()
     sup_log, attained_at, _ = condition_ii_check(f, eps, imax)
-    _emit_json(out, params, {"sup_log": sup_log, "attained_at": attained_at})
+    _emit_json(out, {"sup_log": sup_log, "attained_at": attained_at})
 
 
-@main.command("periodicity")
-@click.option("--coeffs", "coeffs_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-preperiod", type=int, default=64, show_default=True)
-@click.option("--max-period", type=int, default=100, show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def periodicity_cmd(coeffs_path, max_preperiod, max_period, out, dry_run):
+@verb(main, "periodicity")
+@click.option("--coeffs", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--max-preperiod", type=int, default=64, show_default=True, callback=_at_least(0))
+@click.option("--max-period", type=int, default=100, show_default=True, callback=_at_least(1))
+@_OUT
+def periodicity_cmd(coeffs, max_preperiod, max_period, out):
     """Detect ultimate periodicity and test the period-collapse condition."""
-    params = dict(verb="periodicity", coeffs=coeffs_path,
-                  max_preperiod=max_preperiod, max_period=max_period)
-    with open(coeffs_path) as fp:
-        coeffs = read_coeffs_file(fp)
-    if dry_run:
-        _dry_run_exit(params)
-    found = detect_ultimate_period(coeffs, max_preperiod, max_period)
+    with open(coeffs) as fp:
+        sequence = read_coeffs_file(fp)
+    _stop_if_dry_run()
+    found = detect_ultimate_period(sequence, max_preperiod, max_period)
     if found is None:
-        _emit_json(out, params, {"periodic": False, "window": [max_preperiod, max_period]})
+        _emit_json(out, {"periodic": False, "window": [max_preperiod, max_period]})
         return
     k, q = found
-    _emit_json(out, params, {
+    _emit_json(out, {
         "periodic": True, "preperiod": k, "period": q,
-        "collapse": period_collapse_test(coeffs, k, q),
+        "collapse": period_collapse_test(sequence, k, q),
     })
 
 
-@main.command("sector-eval")
-@click.option("--coeffs", "coeffs_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@verb(main, "sector-eval")
+@click.option("--coeffs", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--theta1", type=float, required=True)
 @click.option("--theta2", type=float, required=True)
 @click.option("--radii", default="0.9,0.99,0.999", show_default=True)
 @click.option("--n-theta", type=int, default=16, show_default=True)
-@click.option("--A", "n_terms", type=int, required=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def sector_eval_cmd(coeffs_path, theta1, theta2, radii, n_theta, n_terms, out, dry_run):
+@click.option("--A", "A", type=int, required=True, callback=_at_least(1))
+@_OUT
+def sector_eval_cmd(coeffs, theta1, theta2, radii, n_theta, A, out):
     """Max modulus of prefix power sums on a sector grid (prefix_sup semantics)."""
-    params = dict(verb="sector-eval", coeffs=coeffs_path, theta1=theta1,
-                  theta2=theta2, radii=radii, n_theta=n_theta, A=n_terms)
-    with open(coeffs_path) as fp:
-        coeffs = read_coeffs_file(fp)
+    with open(coeffs) as fp:
+        sequence = read_coeffs_file(fp)
     r_grid = tuple(float(tok) for tok in radii.split(","))
     sector = SectorSpec(theta1, theta2, r_grid, n_theta)
-    if dry_run:
-        _dry_run_exit(params)
-    grid = sector_eval(coeffs, sector, min(n_terms, len(coeffs) - 1))
-    _emit_json(out, params, {
+    _stop_if_dry_run()
+    grid = sector_eval(sequence, sector, min(A, len(sequence) - 1))
+    _emit_json(out, {
         "max_modulus": grid.max_modulus,
         "max_at_r": grid.max_at[0],
         "max_at_theta": grid.max_at[1],
     })
 
 
-@main.command("qn-demo")
+@verb(main, "qn-demo")
 @click.option("--q", type=int, required=True)
 @click.option("--alpha", required=True)
-@click.option("--N", "n_max", type=int, required=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-@click.option("--dry-run", is_flag=True)
-@_mapped_errors
-def qn_demo(q, alpha, n_max, out, dry_run):
+@_N
+@_OUT
+def qn_demo(q, alpha, N, out):
     """The {qn} counterexample: bounded off p/q, linear growth at p/q."""
-    params = dict(verb="qn-demo", q=q, alpha=alpha, N=n_max)
-    value = _parse_rational(alpha)
-    if dry_run:
-        _dry_run_exit(params)
-    sup = qn_counterexample_sup(q, value, n_max)
-    _emit_json(out, params, {"q": q, "alpha": str(value), "N": n_max, "empirical_sup": sup})
+    value = _load_alpha(alpha)
+    _stop_if_dry_run()
+    sup = qn_counterexample_sup(q, value, N)
+    _emit_json(out, {"q": q, "alpha": str(value), "N": N, "empirical_sup": sup})
 
 
 if __name__ == "__main__":

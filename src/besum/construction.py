@@ -16,12 +16,13 @@ monotonicity of n + f(n)!.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lgamma
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -205,58 +206,43 @@ def _check_bit_budget(f: GrowthFunction, n: int, bit_budget: int) -> None:
         )
 
 
+def _factorials(f: GrowthFunction, q: int = 0) -> Iterator[int]:
+    """f(1)!, f(2)!, ..., each reduced mod q when q is given; never ends.
+
+    Incremental products: step n multiplies in f(n-1)+1 .. f(n).  Each
+    consumer stops the stream itself.
+    """
+    fact = 1
+    arg = 0
+    for n in itertools.count(1):
+        v = f(n)
+        for k in range(arg + 1, v + 1):
+            fact = fact * k % q if q else fact * k
+        arg = v
+        yield fact
+
+
 def af_elements(f: GrowthFunction, n_max: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> list[int]:
     """Exact elements n + f(n)! for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_bit_budget(f, n_max, bit_budget)
-    out = []
-    fact = 1
-    arg = 0
-    for n in range(1, n_max + 1):
-        v = f(n)
-        for k in range(arg + 1, v + 1):
-            fact *= k
-        arg = v
-        out.append(n + fact)
-    return out
+    return [n + fact for n, fact in zip(range(1, n_max + 1), _factorials(f))]
 
 
 def index_for_element_bound(f: GrowthFunction, x: int) -> int:
     """Largest n with n + f(n)! <= x (0 if none); n + f(n)! is strictly increasing."""
-    n = 0
-    fact = 1
-    arg = 0
-    while True:
-        v = f(n + 1)
-        # Element comparison only ever needs f(n)! while it is still <= x.
-        if v > arg:
-            for k in range(arg + 1, v + 1):
-                fact *= k
-                if fact > x:
-                    return n
-            arg = v
+    for n, fact in enumerate(_factorials(f)):
         if n + 1 + fact > x:
             return n
-        n += 1
 
 
 def _head_residues(f: GrowthFunction, q: int) -> list[int]:
     """f(n)! mod q for n = 1..H, the n before the first f(n)! = 0 mod q.
 
-    Incremental modular products; H < q because f(n) >= n, so q | f(q)!.
+    H < q because f(n) >= n, so q | f(q)!.
     """
-    out = []
-    fact_mod = 1
-    arg = 0
-    while True:
-        v = f(len(out) + 1)
-        for k in range(arg + 1, v + 1):
-            fact_mod = fact_mod * k % q
-            if fact_mod == 0:
-                return out
-        arg = v
-        out.append(fact_mod)
+    return list(itertools.takewhile(bool, _factorials(f, q)))
 
 
 def factorial_residues(f: GrowthFunction, q: int, n_max: int) -> list[int]:

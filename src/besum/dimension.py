@@ -38,19 +38,10 @@ def count_lower_bound(constraints: DigitConstraintSet, depth: int) -> Fraction:
     return Fraction(factorial(depth), denom)
 
 
-def _digits_of_index(k: int, depth: int) -> tuple[int, ...]:
-    """Factoradic digits (s_2..s_depth) of k/depth! for 0 <= k < depth!."""
-    digits = [0] * (depth - 1)
-    for m in range(depth, 1, -1):
-        k, digits[m - 2] = divmod(k, m)
-    return tuple(digits)
-
-
 def _index_in_e(constraints: DigitConstraintSet, k: int, depth: int) -> bool:
     """Whether the depth-cylinder anchored at k/depth! belongs to E u {0}."""
-    kk = k
     for m in range(depth, 1, -1):
-        kk, digit = divmod(kk, m)
+        k, digit = divmod(k, m)
         cap = constraints.cap_for_position(m)
         if cap is not None and digit > cap:
             return False
@@ -142,10 +133,8 @@ def covering_measure(
 def chain_coefficient(constraints: DigitConstraintSet, depth: int, s: float) -> float:
     """3 (1/i!)^{1-s} prod_{f(j) <= i} (f(j)+1), the final mass-bound coefficient."""
     log_coeff = math.log(3.0) - (1.0 - s) * math.lgamma(depth + 1)
-    j = 1
-    while constraints.f(j) <= depth:
-        log_coeff += math.log(constraints.f(j) + 1)
-        j += 1
+    for m in constraints.constrained_positions(depth + 1):  # m = f(j) + 1
+        log_coeff += math.log(m)
     return math.exp(log_coeff)
 
 
@@ -242,6 +231,8 @@ def condition_ii_check(
     """
     if not (0 < eps < 1):
         raise ValueError("need 0 < eps < 1")
+    if i_max < 1:
+        raise ValueError("need i_max >= 1")
     series = []
     prod_log = 0.0
     fact_log = 0.0
@@ -259,14 +250,3 @@ def condition_ii_check(
             best = g
             best_at = i
     return best, best_at, series
-
-
-def enumerate_cylinder_digits(
-    constraints: DigitConstraintSet, depth: int
-) -> list[tuple[int, ...]]:
-    """Brute-force enumeration of allowed digit tuples (test oracle; small depths)."""
-    tuples: list[tuple[int, ...]] = [()]
-    for m in range(2, depth + 1):
-        hi = constraints.allowed_digit_count(m) - 1
-        tuples = [t + (d,) for t in tuples for d in range(hi + 1)]
-    return tuples

@@ -80,6 +80,12 @@ class Angle:
         p, q = self.rational.numerator, self.rational.denominator
         return Fraction(n * p % q, q)
 
+    def phase(self, n: int) -> float:
+        """n*alpha mod 1 in turns: reduced exactly for a rational angle, by fmod otherwise."""
+        if self.rational is not None:
+            return float(self.times_mod1(n))
+        return math.fmod(n * self._float, 1.0)
+
     def complement(self) -> "Angle":
         """1 - alpha (rational angles only)."""
         if self.rational is None:
@@ -280,11 +286,7 @@ def full_interval_sum(alpha: AngleLike, n_terms: int) -> complex:
     angle = Angle(alpha)
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    if angle.rational is not None:
-        top = e(float(angle.times_mod1(n_terms + 1))) - e(float(angle.times_mod1(1)))
-    else:
-        a = float(angle)
-        top = e(math.fmod((n_terms + 1) * a, 1.0)) - e(a)
+    top = e(angle.phase(n_terms + 1)) - e(angle.phase(1))
     return top / (e(float(angle)) - 1.0)
 
 
@@ -293,12 +295,8 @@ def sum_over_set(elements: Iterable[int], alpha: AngleLike, n_max: int) -> SumTr
     angle = Angle(alpha)
     trace = SumTrace()
     for n in elements:
-        if n > n_max:
-            continue
-        if angle.rational is not None:
-            trace.add_turns(angle.times_mod1(n))
-        else:
-            trace.add_turns(math.fmod(n * float(angle), 1.0))
+        if n <= n_max:
+            trace.add_turns(angle.phase(n))
     return trace
 
 
@@ -328,10 +326,7 @@ def qn_counterexample_sup(q: int, alpha: AngleLike, n_max: int) -> float:
     angle = Angle(alpha)
     terms = n_max // q
     if angle.rational is None:
-        trace = SumTrace()
-        for k in range(1, terms + 1):
-            trace.add_turns(math.fmod(k * q * float(angle), 1.0))
-        return trace.sup_modulus
+        return sum_over_set(range(q, terms * q + 1, q), angle, n_max).sup_modulus
     a, b = angle.rational.numerator, angle.rational.denominator
     step = q * a % b
     if step == 0 or terms < 1:

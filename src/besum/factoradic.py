@@ -154,17 +154,6 @@ def frac_factorial(m: int, f: FactoradicReal) -> tuple[Fraction, Fraction]:
     return value, Fraction(1, den)
 
 
-def is_rational_by_digits(f: FactoradicReal) -> Trit:
-    """Rationality as witnessed by the digits: eventually-null tail <=> rational.
-
-    A finite UNKNOWN prefix can never certify either answer, so the
-    result is three-valued.
-    """
-    if f.tail is Tail.ZERO:
-        return Trit.YES
-    return Trit.UNKNOWN
-
-
 # --- digit-file format ------------------------------------------------------
 #
 #   factoradic v1
@@ -199,15 +188,6 @@ def read_digit_file(fp: TextIO) -> FactoradicReal:
     if len(digits) != depth - 1:
         raise ValueError(f"expected {depth - 1} digits for depth {depth}, got {len(digits)}")
     return FactoradicReal(digits, tail)  # digit range re-checked by the constructor
-
-
-def tail_sum_identity(n_lo: int, n_hi: int) -> tuple[Fraction, Fraction]:
-    """Both sides of sum_{n=N+1}^{M} (n-1)/n! = 1/N! - 1/M!, exactly."""
-    if not (2 <= n_lo < n_hi):
-        raise ValueError("need 2 <= N < M")
-    lhs = sum((Fraction(n - 1, factorial(n)) for n in range(n_lo + 1, n_hi + 1)), Fraction(0))
-    rhs = Fraction(1, factorial(n_lo)) - Fraction(1, factorial(n_hi))
-    return lhs, rhs
 
 
 def from_digit_map(positions: dict[int, int], depth: int, tail: Tail = Tail.ZERO) -> FactoradicReal:

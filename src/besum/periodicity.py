@@ -45,6 +45,12 @@ class CoefficientSequence:
         """Whether every coefficient is an int or Fraction (exact collapse path)."""
         return all(isinstance(v, (int, Fraction)) for v in self.values)
 
+    def prefix(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a_0..a_A as complex numbers, the indices 0..A) for A inside the prefix."""
+        if n_terms >= len(self):
+            raise ValueError(f"A={n_terms} beyond available prefix of length {len(self)}")
+        return np.asarray([complex(v) for v in self.values[: n_terms + 1]]), np.arange(n_terms + 1)
+
     @classmethod
     def from_indicator(cls, members: set[int], length: int) -> "CoefficientSequence":
         vals = tuple(1 if n in members else 0 for n in range(length))
@@ -85,10 +91,7 @@ class SectorSpec:
 
 def partial_power_sum(c: CoefficientSequence, r: float, theta: float, n_terms: int) -> complex:
     """sum_{n<=A} a_n r^n e(n theta)."""
-    if n_terms >= len(c):
-        raise ValueError(f"A={n_terms} beyond available prefix of length {len(c)}")
-    a = np.asarray([complex(v) for v in c.values[: n_terms + 1]])
-    n = np.arange(n_terms + 1)
+    a, n = c.prefix(n_terms)
     z = r * np.exp(2j * np.pi * theta)
     return complex(np.sum(a * z**n))
 
@@ -104,11 +107,8 @@ class SectorGrid:
 
 def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> SectorGrid:
     """Partial sums of u(z) on the sector's (r, theta) grid, with the max modulus."""
-    if n_terms >= len(c):
-        raise ValueError(f"A={n_terms} beyond available prefix of length {len(c)}")
+    a, n = c.prefix(n_terms)
     thetas = sector.thetas()
-    a = np.asarray([complex(v) for v in c.values[: n_terms + 1]])
-    n = np.arange(n_terms + 1)
     phase = np.exp(2j * np.pi * np.outer(thetas, n))  # (n_theta, A+1)
     vals = np.empty((len(sector.r_grid), len(thetas)), dtype=complex)
     for i, r in enumerate(sector.r_grid):
@@ -136,11 +136,8 @@ def abel_bound_check(
     """
     if not (0 <= r < 1):
         raise ValueError("need 0 <= r < 1")
-    if n_terms >= len(c):
-        raise ValueError(f"A={n_terms} beyond available prefix of length {len(c)}")
+    a, n = c.prefix(n_terms)
     t = float(Angle(alpha))
-    a = np.asarray([complex(v) for v in c.values[: n_terms + 1]])
-    n = np.arange(n_terms + 1)
     unit = a * np.exp(2j * np.pi * t * n)
     lhs = abs(np.sum(unit * r**n))
     rhs = float(np.max(np.abs(np.cumsum(unit))))

@@ -28,17 +28,17 @@ from besum.dimension import (
     count_cylinders,
     count_lower_bound,
     dimension_lower_estimate,
-    enumerate_cylinder_digits,
     measure_of_cylinder,
 )
 from besum.expsum import dirichlet_bound, qn_counterexample_sup, symmetry_check
-from besum.factoradic import FactoradicReal, Tail, decode, encode, frac_factorial, tail_sum_identity
+from besum.factoradic import FactoradicReal, Tail, decode, encode, frac_factorial
 from besum.periodicity import (
     CoefficientSequence,
     detect_ultimate_period,
     partial_power_sum,
     period_collapse_test,
 )
+from digit_oracles import enumerate_cylinder_digits, tail_sum_identity
 
 F_ID = get_growth("identity")
 F_N2 = get_growth("n2")

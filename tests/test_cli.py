@@ -1,13 +1,20 @@
 import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import click.testing
 import pytest
 from click.testing import CliRunner
 
+import besum
 from besum.cli import main
-from besum.construction import rational_profile
+from besum.construction import get_growth, rational_profile
+from besum.dimension import condition_ii_check
 from besum.factoradic import encode, write_digit_file
 from besum.periodicity import CoefficientSequence, write_coeffs_file
 
@@ -261,3 +268,134 @@ class TestVerbs:
             result = runner.invoke(main, args)
             assert result.exit_code == 0, (args, result.output)
             assert result.output.startswith("dry-run:"), args
+
+
+# One fixed invocation of each verb and the config_hash it must keep.  Input
+# files are named relative to the working directory, because paths are hashed.
+PINNED_CONFIG_HASHES = {
+    "sum": (["sum", "--f", "identity", "--alpha", "2/7", "--N", "50"], "6be7c69103214c15"),
+    "sup-sweep": (["sup-sweep", "--qmax", "5", "--N", "30"], "71735b6b5843a9ef"),
+    "factoradic-encode": (["factoradic", "encode", "--value", "1/4", "--depth", "6"],
+                          "9e1ee35fea66a919"),
+    "factoradic-decode": (["factoradic", "decode", "--digits", "a.digits"], "0e6608f6873812a9"),
+    "construct": (["construct", "--f", "identity", "--nmax", "5"], "3706d9809a2dbeac"),
+    "membership": (["membership", "--a", "pow2", "--alpha-digits", "a.digits"],
+                   "c234ec14a2b0798a"),
+    "sample-e": (["sample-e", "--depth", "12", "--seed", "4", "--count", "2"], "8c1577717c1211fe"),
+    "bound": (["bound", "--a", "nfact", "--alpha", "1/3", "--N", "20"], "9005a3255b23910f"),
+    "dimension": (["dimension", "--jmax", "12"], "3583a20fbc52eb4b"),
+    "mass-check": (["mass-check", "--s", "0.5", "--imax", "6", "--seed", "2"], "3b01e4c2eae2d21b"),
+    "cond-ii": (["cond-ii", "--f", "pow2", "--eps", "0.25", "--imax", "30"], "c2184b96a2d65ca5"),
+    "periodicity": (["periodicity", "--coeffs", "c.coeffs", "--max-preperiod", "5",
+                     "--max-period", "5"], "f3fa6d24223f8c74"),
+    "sector-eval": (["sector-eval", "--coeffs", "c.coeffs", "--theta1", "0.1", "--theta2", "0.2",
+                     "--A", "40"], "827669f416793265"),
+    "qn-demo": (["qn-demo", "--q", "3", "--alpha", "2/5", "--N", "100"], "fa04d87c0ee12ac4"),
+}
+
+
+@pytest.mark.parametrize("argv, config_hash", PINNED_CONFIG_HASHES.values(),
+                         ids=PINNED_CONFIG_HASHES)
+def test_config_hash_is_pinned(runner, tmp_path, monkeypatch, argv, config_hash):
+    monkeypatch.chdir(tmp_path)
+    write_sample_digits(tmp_path / "a.digits")
+    with open(tmp_path / "c.coeffs", "w") as fp:
+        write_coeffs_file(CoefficientSequence((0,) + (1, 0) * 30), fp)
+    # The dry-run line prints the hashed config itself.
+    dry = runner.invoke(main, argv + ["--dry-run"])
+    assert dry.exit_code == 0, dry.output
+    blob = dry.output.removeprefix("dry-run: ").rstrip("\n")
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == config_hash
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    header = [ln for ln in result.output.splitlines() if "config_hash" in ln]
+    # factoradic encode and sample-e print bare digit files, with no header.
+    assert all(config_hash in ln for ln in header)
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is only needed to order near-tied moduli; importing it costs every start.
+    code = "import sys, besum.cli; print('mpmath' in sys.modules)"
+    src = str(Path(besum.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample-e", "--depth", "10", "--count", "-1"], "--count must be >= 1"),
+    (["sample-e", "--depth", "10", "--count", "0"], "--count must be >= 1"),
+    (["qn-demo", "--q", "3", "--alpha", "1/3", "--N", "-5"], "--N must be >= 1"),
+    (["sup-sweep", "--qmax", "5", "--N", "0"], "--N must be >= 1"),
+    (["sup-sweep", "--qmax", "1", "--N", "10"], "--qmax must be >= 2"),
+    (["cond-ii", "--eps", "0.5", "--imax", "0"], "--imax must be >= 1"),
+    (["sector-eval", "--coeffs", "c.coeffs", "--theta1", "0.1", "--theta2", "0.2", "--A", "-1"],
+     "--A must be >= 1"),
+    (["sector-eval", "--coeffs", "c.coeffs", "--theta1", "0.1", "--theta2", "0.2", "--A", "-5"],
+     "--A must be >= 1"),
+    (["periodicity", "--coeffs", "c.coeffs", "--max-period", "0"], "--max-period must be >= 1"),
+    (["periodicity", "--coeffs", "c.coeffs", "--max-preperiod", "-1"],
+     "--max-preperiod must be >= 0"),
+])
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_out_of_range_integers_are_config_errors(runner, tmp_path, monkeypatch, argv, message,
+                                                 dry_run):
+    monkeypatch.chdir(tmp_path)
+    with open(tmp_path / "c.coeffs", "w") as fp:
+        write_coeffs_file(CoefficientSequence((0,) + (1, 0) * 150), fp)
+    result = runner.invoke(main, argv + ["--dry-run"] * dry_run)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize("value", ["1/0", "x"])
+def test_unparsable_encode_value_is_config_error(runner, value):
+    result = runner.invoke(main, ["factoradic", "encode", "--value", value])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"--value: cannot parse {value!r} as p/q" in result.output
+
+
+def test_json_output_is_strict(runner, tmp_path):
+    digits = write_sample_digits(tmp_path / "a.digits")
+    coeffs = tmp_path / "c.coeffs"
+    with open(coeffs, "w") as fp:
+        write_coeffs_file(CoefficientSequence((0,) + (1, 0) * 150), fp)
+    cases = [
+        ["factoradic", "decode", "--digits", str(digits)],
+        ["membership", "--alpha-digits", str(digits)],
+        ["dimension", "--jmax", "10"],
+        ["mass-check", "--s", "0.5", "--imax", "6"],
+        ["cond-ii", "--eps", "0.5", "--imax", "1"],
+        ["periodicity", "--coeffs", str(coeffs)],
+        ["sector-eval", "--coeffs", str(coeffs), "--theta1", "0.1", "--theta2", "0.2", "--A", "1"],
+        ["qn-demo", "--q", "2", "--alpha", "1/3", "--N", "1"],
+    ]
+    for argv in cases:
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, (argv, result.output)
+        _strict_json(result.output)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_json_value_is_config_error(runner, tmp_path):
+    # Ten terms of 1e308 overflow the sector sums to NaN, which JSON cannot carry.
+    coeffs = tmp_path / "big.coeffs"
+    with open(coeffs, "w") as fp:
+        write_coeffs_file(CoefficientSequence((0,) + (1e308,) * 10), fp)
+    result = runner.invoke(main, ["sector-eval", "--coeffs", str(coeffs), "--theta1", "0",
+                                  "--theta2", "0.1", "--A", "10"])
+    assert result.exit_code == 2, result.output
+    assert "NaN" not in result.output and "not JSON compliant" in result.output
+
+
+def test_condition_ii_needs_a_positive_range():
+    with pytest.raises(ValueError, match="i_max"):
+        condition_ii_check(get_growth("n2"), 0.5, 0)

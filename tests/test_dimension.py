@@ -14,11 +14,11 @@ from besum.dimension import (
     covering_measure,
     cylinder_index,
     dimension_lower_estimate,
-    enumerate_cylinder_digits,
     mass_check,
     measure_of_cylinder,
 )
 from besum.factoradic import FactoradicReal, encode, from_digit_map
+from digit_oracles import enumerate_cylinder_digits
 
 F_ID = get_growth("identity")
 F_N2 = get_growth("n2")

@@ -16,11 +16,10 @@ from besum.factoradic import (
     encode,
     frac_factorial,
     from_digit_map,
-    is_rational_by_digits,
     read_digit_file,
-    tail_sum_identity,
     write_digit_file,
 )
+from digit_oracles import is_rational_by_digits, tail_sum_identity
 
 
 class TestEncode:
