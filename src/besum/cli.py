@@ -31,6 +31,7 @@ from .construction import (
     af_sum_rational,
     bound_theoretical,
     eq4_rhs,
+    factoradic_profile,
     get_growth,
     get_weights,
     membership,
@@ -146,8 +147,11 @@ def _provenance(seed: int | None) -> dict:
 def _emit(out: Path | None, text: str) -> None:
     if out is None:
         _echo(text)
-    else:
+        return
+    try:
         out.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _emit_csv(out: Path | None, fields: list[str], rows: list[dict]) -> None:
@@ -238,6 +242,7 @@ def sum_cmd(f, alpha, alpha_digits, N, out):
             rows.append(csv_row(angle, trace))
         fields = ["alpha_num", "alpha_den", "N", "re", "im", "modulus", "empirical_sup", "sup_at"]
     else:
+        factoradic_profile.cache_clear()  # one profile per invocation, for every N below
         for n in _n_schedule(N):
             total, phase_error = af_sum_factoradic(f, value, n)
             rows.append({
@@ -351,7 +356,10 @@ def sample_e(f, a, depth, seed, count, out_dir):
     constraints = DigitConstraintSet(get_growth(f), get_weights(a))
     _stop_if_dry_run()
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create directory {out_dir}: {exc.strerror}") from exc
     for i in range(count):
         out = None if out_dir is None else out_dir / f"sample_{seed + i}.digits"
         _emit_digits(out, sample_e_set(constraints, depth, seed + i))

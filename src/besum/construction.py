@@ -32,7 +32,6 @@ from .factoradic import (
     InsufficientDepthError,
     Tail,
     Trit,
-    decode,
     frac_factorial,
 )
 
@@ -79,7 +78,7 @@ class WeightSequence:
         return self.fn(n)
 
     def partial_sum_reciprocals(self, n_max: int) -> Fraction:
-        return sum((Fraction(1, self(n)) for n in range(1, n_max + 1)), Fraction(0))
+        return Fraction(*_reciprocal_sum(self, 1, n_max + 1))
 
 
 GROWTH_REGISTRY: dict[str, GrowthFunction] = {
@@ -335,14 +334,59 @@ def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> tuple[co
     return total, SumTrace(total.real, total.imag, n_terms, sup, sup_at)
 
 
+class FactoradicProfile:
+    """S(N) = sum_{n<=N} e((n + f(n)!) alpha) for every N, alpha given by its digits.
+
+    Term n has phase r/D with D = depth!, r = (n X + v D/den) mod D, X/D
+    the prefix (alpha.numerator) and v/den = {f(n)! alpha} from
+    frac_factorial; r/D is rounded once.  The partial sums, and for an
+    UNKNOWN tail the sums of f(n)! (f(N) < depth), grow on demand.
+    """
+
+    def __init__(self, f: GrowthFunction, alpha: FactoradicReal):
+        self.f = f
+        self.alpha = alpha
+        self.depth_fact = factorial(alpha.depth)
+        self.sums = [complex(0.0)]  # S(0), S(1), ...
+        self.fact_sums = [0]
+
+    def value(self, n_terms: int) -> tuple[complex, float]:
+        """(S(N), 2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth!, 0 for a ZERO tail)."""
+        x, d = self.alpha.numerator, self.depth_fact
+        unknown = self.alpha.tail is Tail.UNKNOWN
+        for n in range(len(self.sums), n_terms + 1):
+            m = self.f(n)
+            v, _ = frac_factorial(m, self.alpha)
+            r = (n * x + v.numerator * (d // v.denominator)) % d
+            self.sums.append(self.sums[-1] + e(r / d))
+            if unknown:
+                self.fact_sums.append(self.fact_sums[-1] + factorial(m))
+        if not unknown:
+            return self.sums[n_terms], 0.0
+        budget = n_terms * (n_terms + 1) // 2 + self.fact_sums[n_terms]
+        return self.sums[n_terms], 2.0 * math.pi * (budget / d)
+
+
+@functools.lru_cache(maxsize=8)
+def factoradic_profile(f: GrowthFunction, alpha: FactoradicReal) -> FactoradicProfile:
+    """The FactoradicProfile of (f, alpha), kept for the next few calls.
+
+    The `sum` verb reads one angle at many N and clears the cache when it
+    starts, as with rational_profile.
+    """
+    return FactoradicProfile(f, alpha)
+
+
 def af_sum_factoradic(
     f: GrowthFunction, alpha: FactoradicReal, n_terms: int
 ) -> tuple[complex, float]:
     """sum_{n<=N} e((n + f(n)!) alpha) from the digit prefix.
 
-    Each phase is {n alpha} + {f(n)! alpha}, both exact rationals from
-    the digits; the returned phase_error bounds |computed - true sum| as
-    2*pi times the accumulated interval widths (0 for a ZERO tail).
+    Each phase is {n alpha} + {f(n)! alpha}, exact from the digits and
+    summed as one integer mod depth! (FactoradicProfile).  phase_error
+    bounds |computed - true sum|: 0 for a ZERO tail; for an UNKNOWN one
+    2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth!, as alpha is within
+    1/depth! of the prefix and {k alpha} moves by at most k/depth!.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
@@ -352,37 +396,52 @@ def af_sum_factoradic(
             f"N={n_terms} needs digits through position {needed}, have depth {alpha.depth}",
             required_depth=needed + 1,
         )
-    lower, upper = decode(alpha)
-    depth_fact = factorial(alpha.depth)
-    total = complex(0.0)
-    err = Fraction(0)
-    for n in range(1, n_terms + 1):
-        n_phase = n * lower
-        n_phase -= int(n_phase)
-        m_phase, m_err = frac_factorial(f(n), alpha)
-        phase = n_phase + m_phase
-        total += e(float(phase - int(phase)))
-        if alpha.tail is Tail.UNKNOWN:
-            err += Fraction(n, depth_fact) + m_err
-    return total, 2.0 * math.pi * float(err)
+    return factoradic_profile(f, alpha).value(n_terms)
+
+
+def _reciprocal_sum(b: Callable[[int], int], lo: int, hi: int) -> tuple[int, int]:
+    """(P, Q) with P/Q = sum_{lo<=n<hi} 1/b(n), by binary splitting.
+
+    Q is the lcm of the b(n), built up node by node (a gcd per merge);
+    P/Q is not reduced.  A plain product would grow quadratically for
+    weights such as n! (prod_{n<=N} n!), where the lcm is N!.
+    """
+    if hi <= lo:
+        return 0, 1
+    if hi - lo == 1:
+        return 1, b(lo)
+    mid = (lo + hi) // 2
+    p1, q1 = _reciprocal_sum(b, lo, mid)
+    p2, q2 = _reciprocal_sum(b, mid, hi)
+    g = math.gcd(q1, q2)
+    q1, q2 = q1 // g, q2 // g
+    return p1 * q2 + p2 * q1, q1 * q2 * g
+
+
+def _bound_series(f: GrowthFunction, a: WeightSequence, n_terms: int) -> tuple[int, int]:
+    """(P, Q), unreduced, with P/Q = sum_{n<=N} (1/a_n + E_UPPER/(f(n)+1))."""
+    p1, q1 = _reciprocal_sum(a, 1, n_terms + 1)
+    p2, q2 = _reciprocal_sum(lambda n: f(n) + 1, 1, n_terms + 1)
+    e_num, e_den = E_UPPER.numerator, E_UPPER.denominator
+    return p1 * q2 * e_den + e_num * p2 * q1, q1 * q2 * e_den
 
 
 def bound_series_sum(f: GrowthFunction, a: WeightSequence, n_terms: int) -> Fraction:
     """Exact sum_{n<=N} (1/a_n + e/(f(n)+1)) with e its rational upper bound."""
-    acc = Fraction(0)
-    for n in range(1, n_terms + 1):
-        acc += Fraction(1, a(n)) + E_UPPER / (f(n) + 1)
-    return acc
+    return Fraction(*_bound_series(f, a, n_terms))
 
 
 def bound_theoretical(
     f: GrowthFunction, a: WeightSequence, alpha: AngleLike, n_terms: int
 ) -> float:
-    """(2/|e(alpha)-1|) * (1 + 4 pi sum_{n<=N} (1/a_n + e/(f(n)+1)))."""
+    """(2/|e(alpha)-1|) * (1 + 4 pi sum_{n<=N} (1/a_n + e/(f(n)+1))).
+
+    The series is taken to a float by one correctly rounded int division.
+    """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    series = bound_series_sum(f, a, n_terms)
-    return dirichlet_bound(alpha) * (1.0 + 4.0 * math.pi * float(series))
+    num, den = _bound_series(f, a, n_terms)
+    return dirichlet_bound(alpha) * (1.0 + 4.0 * math.pi * (num / den))
 
 
 def eq4_rhs(f: GrowthFunction, p: int, q: int) -> float:

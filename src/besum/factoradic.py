@@ -15,9 +15,10 @@ in downstream consumers.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import TextIO
 
 DEFAULT_DEPTH = 32
@@ -87,6 +88,14 @@ class FactoradicReal:
     def is_zero(self) -> bool:
         return self.tail is Tail.ZERO and not any(self.digits)
 
+    @functools.cached_property
+    def numerator(self) -> int:
+        """X with prefix value X/depth!: Horner over the stored digits."""
+        num = 0
+        for k, s in enumerate(self.digits):
+            num = num * (k + 2) + s
+        return num
+
 
 def encode(x: Fraction | int, depth: int = DEFAULT_DEPTH) -> FactoradicReal:
     """Greedy digit extraction of an exact rational in [0,1).
@@ -117,10 +126,7 @@ def decode(f: FactoradicReal) -> tuple[Fraction, Fraction]:
 
     lower is the stored prefix sum; an UNKNOWN tail adds at most 1/depth!.
     """
-    num = 0
-    for k, s in enumerate(f.digits):
-        num = num * (k + 2) + s
-    lower = Fraction(num, factorial(f.depth))
+    lower = Fraction(f.numerator, factorial(f.depth))
     if f.tail is Tail.ZERO:
         return lower, lower
     return lower, lower + Fraction(1, factorial(f.depth))
@@ -131,9 +137,11 @@ def frac_factorial(m: int, f: FactoradicReal) -> tuple[Fraction, Fraction]:
 
     m! * sum_{i<=m} s_i/i! is an integer and drops out; the digits at
     positions m+1..depth contribute sum s_i * m!/i!, which lies in [0,1).
-    Returns (value, error_bound): the true {m! alpha} lies in
-    [value, value + error_bound], with error_bound = m!/depth! for an
-    UNKNOWN tail and 0 otherwise.
+    With X = f.numerator (prefix value X/depth!) and den = depth!/m! =
+    (m+1)(m+2)...depth, m! X/depth! = X/den, so that contribution is
+    (X mod den)/den.  Returns (value, error_bound): the true {m! alpha}
+    lies in [value, value + error_bound], with error_bound = 1/den =
+    m!/depth! for an UNKNOWN tail and 0 otherwise.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -142,13 +150,10 @@ def frac_factorial(m: int, f: FactoradicReal) -> tuple[Fraction, Fraction]:
             f"{{m! alpha}} with m={m} needs depth > m, have {f.depth}",
             required_depth=m + 1,
         )
-    # Horner over positions m+1..depth: value = num / ((m+1)(m+2)...depth).
-    num = 0
-    den = 1
-    for i in range(m + 1, f.depth + 1):
-        num = num * i + f.digit(i)
-        den *= i
-    value = Fraction(num, den)
+    if m >= f.depth:  # ZERO tail: m! alpha is an integer; m may be far too big for m!
+        return Fraction(0), Fraction(0)
+    den = perm(f.depth, f.depth - m)
+    value = Fraction(f.numerator % den, den)
     if f.tail is Tail.ZERO:
         return value, Fraction(0)
     return value, Fraction(1, den)

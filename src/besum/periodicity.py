@@ -46,7 +46,9 @@ class CoefficientSequence:
         return all(isinstance(v, (int, Fraction)) for v in self.values)
 
     def prefix(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a_0..a_A as complex numbers, the indices 0..A) for A inside the prefix."""
+        """(a_0..a_A as complex numbers, the indices 0..A) for 0 <= A inside the prefix."""
+        if n_terms < 0:
+            raise ValueError(f"A={n_terms} must be >= 0")
         if n_terms >= len(self):
             raise ValueError(f"A={n_terms} beyond available prefix of length {len(self)}")
         return np.asarray([complex(v) for v in self.values[: n_terms + 1]]), np.arange(n_terms + 1)
@@ -111,9 +113,12 @@ def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> Sec
     thetas = sector.thetas()
     phase = np.exp(2j * np.pi * np.outer(thetas, n))  # (n_theta, A+1)
     vals = np.empty((len(sector.r_grid), len(thetas)), dtype=complex)
-    for i, r in enumerate(sector.r_grid):
-        radial = a * r**n
-        vals[i] = phase @ radial
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as a ValueError below
+        for i, r in enumerate(sector.r_grid):
+            radial = a * r**n
+            vals[i] = phase @ radial
+    if not np.isfinite(vals).all():
+        raise ValueError(f"sector sums over A={n_terms} terms are not finite (float overflow)")
     flat = int(np.argmax(np.abs(vals)))
     ri, ti = divmod(flat, len(thetas))
     return SectorGrid(

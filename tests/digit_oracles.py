@@ -4,11 +4,13 @@ Each one is a brute-force or textbook form of something the package
 computes another way, so the tests can compare the two.
 """
 
+import math
 from fractions import Fraction
 from math import factorial
 
-from besum.construction import DigitConstraintSet
-from besum.factoradic import FactoradicReal, Tail, Trit
+from besum.construction import E_UPPER, DigitConstraintSet, GrowthFunction, WeightSequence
+from besum.expsum import e
+from besum.factoradic import FactoradicReal, InsufficientDepthError, Tail, Trit, decode
 
 
 def is_rational_by_digits(f: FactoradicReal) -> Trit:
@@ -40,3 +42,57 @@ def enumerate_cylinder_digits(
         hi = constraints.allowed_digit_count(m) - 1
         tuples = [t + (d,) for t in tuples for d in range(hi + 1)]
     return tuples
+
+
+def frac_factorial_by_digits(m: int, f: FactoradicReal) -> tuple[Fraction, Fraction]:
+    """{m! alpha} and its error bound by Horner over the digits at positions m+1..depth."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if f.tail is Tail.UNKNOWN and m >= f.depth:
+        raise InsufficientDepthError(
+            f"{{m! alpha}} with m={m} needs depth > m, have {f.depth}",
+            required_depth=m + 1,
+        )
+    num = 0
+    den = 1
+    for i in range(m + 1, f.depth + 1):
+        num = num * i + f.digit(i)
+        den *= i
+    value = Fraction(num, den)
+    if f.tail is Tail.ZERO:
+        return value, Fraction(0)
+    return value, Fraction(1, den)
+
+
+def af_sums_by_terms(
+    f: GrowthFunction, alpha: FactoradicReal, n_max: int
+) -> list[tuple[complex, float]]:
+    """(sum_{n<=N} e((n + f(n)!) alpha), phase error) for N = 1..n_max, in Fractions.
+
+    Term by term: {n alpha} + {f(n)! alpha} exactly, then one float per
+    phase; the error adds n/depth! + f(n)!/depth! per term for an UNKNOWN
+    tail, whose depth the caller keeps above f(n_max) + 1.
+    """
+    lower, _ = decode(alpha)
+    depth_fact = factorial(alpha.depth)
+    total = complex(0.0)
+    err = Fraction(0)
+    out = []
+    for n in range(1, n_max + 1):
+        n_phase = n * lower
+        n_phase -= int(n_phase)
+        m_phase, m_err = frac_factorial_by_digits(f(n), alpha)
+        phase = n_phase + m_phase
+        total += e(float(phase - int(phase)))
+        if alpha.tail is Tail.UNKNOWN:
+            err += Fraction(n, depth_fact) + m_err
+        out.append((total, 2.0 * math.pi * float(err)))
+    return out
+
+
+def bound_series_by_terms(f: GrowthFunction, a: WeightSequence, n_terms: int) -> Fraction:
+    """sum_{n<=N} (1/a_n + E_UPPER/(f(n)+1)), one Fraction addition per term."""
+    acc = Fraction(0)
+    for n in range(1, n_terms + 1):
+        acc += Fraction(1, a(n)) + E_UPPER / (f(n) + 1)
+    return acc

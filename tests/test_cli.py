@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import click.testing
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -16,7 +17,7 @@ from besum.cli import main
 from besum.construction import get_growth, rational_profile
 from besum.dimension import condition_ii_check
 from besum.factoradic import encode, write_digit_file
-from besum.periodicity import CoefficientSequence, write_coeffs_file
+from besum.periodicity import CoefficientSequence, SectorGrid, write_coeffs_file
 
 
 @pytest.fixture
@@ -355,6 +356,20 @@ def test_out_of_range_integers_are_config_errors(runner, tmp_path, monkeypatch, 
     assert message in result.output
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--nmax", "3", "--out", "missing/x.csv"], "cannot write missing/x.csv"),
+    (["construct", "--nmax", "3", "--out", "."], "cannot write ."),
+    (["sample-e", "--depth", "10", "--out-dir", "taken"], "cannot create directory taken"),
+])
+def test_unwritable_output_path_is_config_error(runner, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
 @pytest.mark.parametrize("value", ["1/0", "x"])
 def test_unparsable_encode_value_is_config_error(runner, value):
     result = runner.invoke(main, ["factoradic", "encode", "--value", value])
@@ -384,14 +399,19 @@ def test_json_output_is_strict(runner, tmp_path):
         _strict_json(result.output)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_non_finite_json_value_is_config_error(runner, tmp_path):
-    # Ten terms of 1e308 overflow the sector sums to NaN, which JSON cannot carry.
+def test_non_finite_json_value_is_config_error(runner, tmp_path, monkeypatch):
+    # Ten terms of 1e308 overflow the sector sums; sector_eval refuses them.
     coeffs = tmp_path / "big.coeffs"
     with open(coeffs, "w") as fp:
         write_coeffs_file(CoefficientSequence((0,) + (1e308,) * 10), fp)
-    result = runner.invoke(main, ["sector-eval", "--coeffs", str(coeffs), "--theta1", "0",
-                                  "--theta2", "0.1", "--A", "10"])
+    argv = ["sector-eval", "--coeffs", str(coeffs), "--theta1", "0", "--theta2", "0.1", "--A", "10"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert "NaN" not in result.output and "not finite" in result.output
+    # A NaN that reaches the JSON emitter is refused there too, not printed.
+    grid = SectorGrid(np.zeros(2), (0.9,), np.zeros((1, 2)), float("nan"), (0.9, 0.0))
+    monkeypatch.setattr("besum.cli.sector_eval", lambda *args: grid)
+    result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
     assert "NaN" not in result.output and "not JSON compliant" in result.output
 

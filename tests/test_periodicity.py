@@ -72,6 +72,20 @@ class TestSectorEval:
         assert moduli[2] >= 5 * moduli[1]
 
 
+    @pytest.mark.parametrize("n_terms", [-1, -2, -5])
+    def test_negative_a_rejected(self, n_terms):
+        c = CoefficientSequence((0,) + (1,) * 10)
+        with pytest.raises(ValueError, match=">= 0"):
+            sector_eval(c, SectorSpec(0.1, 0.2, (0.9,)), n_terms)
+        with pytest.raises(ValueError, match=">= 0"):
+            partial_power_sum(c, 0.9, 0.1, n_terms)
+
+    def test_overflow_is_an_error_not_nan(self):
+        c = CoefficientSequence((0,) + (1e308,) * 10)
+        with pytest.raises(ValueError, match="not finite"):
+            sector_eval(c, SectorSpec(0.0, 0.1, (0.9, 0.99)), 10)
+
+
 class TestAbelBound:
     def test_geometric(self):
         c = CoefficientSequence((0,) + (1,) * 100)
