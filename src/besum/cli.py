@@ -30,6 +30,7 @@ from .construction import (
     af_sum_factoradic,
     af_sum_rational,
     bound_theoretical,
+    check_bit_budget,
     eq4_rhs,
     factoradic_profile,
     get_growth,
@@ -317,13 +318,22 @@ def factoradic_decode(digits, out):
 
 @verb(main, "construct")
 @_F
-@click.option("--nmax", type=int, required=True)
+@click.option("--nmax", type=int, required=True, callback=_at_least(1))
 @_OUT
 def construct(f, nmax, out):
     """List the exact elements n + f(n)! for n <= nmax."""
     f = get_growth(f)
     _stop_if_dry_run()
-    elements = af_elements(f, nmax, bit_budget=_bit_budget())
+    bit_budget = _bit_budget()
+    check_bit_budget(f, nmax, bit_budget)  # over the budget is exit 3, before the text limit
+    digits = int(math.lgamma(f(nmax) + 1) / math.log(10)) + 1  # of f(nmax)!, the largest element
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or Python < 3.10.7
+    if digits > limit > 0:
+        raise ValueError(
+            f"--nmax {nmax}: element n + f(n)! has {digits} decimal digits, over the limit "
+            f"of {limit} digits Python converts to text (sys.get_int_max_str_digits)"
+        )
+    elements = af_elements(f, nmax, bit_budget=bit_budget)
     rows = [{"n": n, "element": el} for n, el in enumerate(elements, start=1)]
     _emit_csv(out, ["n", "element"], rows)
 

@@ -121,6 +121,7 @@ class DigitConstraintSet:
         self.a = a
         self._caps: dict[int, int] = {}  # position -> cap
         self._scanned_to = 0  # largest i folded into _caps
+        self._counts: list[int] = []  # allowed digit count at position m, at index m - 2
 
     def _scan(self, position: int) -> None:
         i = self._scanned_to
@@ -137,12 +138,25 @@ class DigitConstraintSet:
         self._scan(m)
         return self._caps.get(m)
 
+    def _extend_counts(self, depth: int) -> None:
+        counts = self._counts
+        if len(counts) < depth - 1:
+            self._scan(depth)
+            for m in range(len(counts) + 2, depth + 1):
+                cap = self._caps.get(m)
+                counts.append(m if cap is None else min(m - 1, cap) + 1)
+
+    def allowed_digit_counts(self, depth: int) -> list[int]:
+        """Allowed digit counts at positions 2..depth, read from a table built once."""
+        self._extend_counts(depth)
+        return self._counts[: depth - 1]
+
     def allowed_digit_count(self, m: int) -> int:
         """Number of allowed digits at position m >= 2 (the 0 digit always is)."""
-        cap = self.cap_for_position(m)
-        if cap is None:
-            return m
-        return min(m - 1, cap) + 1
+        if m < 2:
+            raise ValueError(f"digit positions start at 2, got {m}")
+        self._extend_counts(m)
+        return self._counts[m - 2]
 
     def constrained_positions(self, up_to: int) -> list[int]:
         self._scan(up_to)
@@ -196,9 +210,13 @@ def sample_e_set(
             raise ValueError("zero-entropy sample is the excluded boundary point alpha = 0")
 
 
-def _check_bit_budget(f: GrowthFunction, n: int, bit_budget: int) -> None:
+def check_bit_budget(f: GrowthFunction, n: int, bit_budget: int) -> None:
+    """Raise ResourceBudgetError when f(n)! needs more than bit_budget bits."""
     v = f(n)
-    bits = lgamma(v + 1) / math.log(2)
+    try:
+        bits = lgamma(v + 1) / math.log(2)
+    except OverflowError:  # f(n) beyond the float range
+        bits = math.inf
     if bits > bit_budget:
         raise ResourceBudgetError(
             f"f({n})! needs about {bits:.3g} bits, over the budget of {bit_budget}"
@@ -225,7 +243,7 @@ def af_elements(f: GrowthFunction, n_max: int, bit_budget: int = DEFAULT_BIT_BUD
     """Exact elements n + f(n)! for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _check_bit_budget(f, n_max, bit_budget)
+    check_bit_budget(f, n_max, bit_budget)
     return [n + fact for n, fact in zip(range(1, n_max + 1), _factorials(f))]
 
 

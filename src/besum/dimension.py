@@ -6,12 +6,21 @@ meets E(f,a) (union the zero point) the same mass 1/count, where count
 is the exact number of allowed digit tuples -- a plain product over
 positions, computed exactly instead of through the paper-style factorial
 lower bound (which becomes a test here, being strictly weaker).
+
+The anchor k/i! lies in E(f,a) u {0} exactly when every mixed-radix
+digit of k (positions 2..i) is within its cap, so the members among
+k < K are counted from the digits of K alone: a digit d at position m
+contributes min(d, allowed(m)) * prod_{m' > m} allowed(m') and the walk
+stops after the first digit over its cap.  The mass of any interval B
+therefore costs O(i) small divisions and multiplications, however many
+cylinders B meets.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -24,10 +33,7 @@ def count_cylinders(constraints: DigitConstraintSet, depth: int) -> int:
     """Exact #((E(f,a) u {0}) n Z_depth): product of allowed digit counts."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    count = 1
-    for m in range(2, depth + 1):
-        count *= constraints.allowed_digit_count(m)
-    return count
+    return math.prod(constraints.allowed_digit_counts(depth))
 
 
 def count_lower_bound(constraints: DigitConstraintSet, depth: int) -> Fraction:
@@ -38,14 +44,26 @@ def count_lower_bound(constraints: DigitConstraintSet, depth: int) -> Fraction:
     return Fraction(factorial(depth), denom)
 
 
-def _index_in_e(constraints: DigitConstraintSet, k: int, depth: int) -> bool:
-    """Whether the depth-cylinder anchored at k/depth! belongs to E u {0}."""
-    for m in range(depth, 1, -1):
+def _anchors_in_e_below(counts: list[int], k: int) -> int:
+    """#{0 <= k' < k : k'/depth! in E u {0}}, where counts holds the allowed digit
+    counts at positions 2..depth.
+
+    Walks k's digits from position depth (least significant) up to 2.  A
+    digit over its cap at position m drops what the positions after m
+    added: no anchor that shares k's digits through m is a member.  k >=
+    depth! (a nonzero quotient left over) counts every member.
+    """
+    below = 0
+    completions = 1  # prod of counts at the positions after m
+    for m in range(len(counts) + 1, 1, -1):
         k, digit = divmod(k, m)
-        cap = constraints.cap_for_position(m)
-        if cap is not None and digit > cap:
-            return False
-    return True
+        allowed = counts[m - 2]
+        if digit >= allowed:
+            below = allowed * completions
+        else:
+            below += digit * completions
+        completions *= allowed
+    return completions if k else below
 
 
 def cylinder_index(alpha: FactoradicReal, depth: int) -> int:
@@ -114,28 +132,43 @@ def covering_measure(
 ) -> tuple[Fraction, int]:
     """(mu of the depth-cylinders meeting (b_lo, b_hi), how many cylinders meet it).
 
-    The candidate anchors k/depth! are confined to an interval of length
-    |B| + 1/depth!, so at most |B|*depth! + 2 cylinders are ever touched.
+    With M = depth!, the cylinder (k/M, (k+1)/M) meets B for k_lo <= k <=
+    k_hi, k_lo = max(0, floor(b_lo M)) and k_hi = min(M - 1, ceil(b_hi M) - 1),
+    both in integer arithmetic.  The members of E u {0} among those
+    anchors are below(k_hi + 1) - below(k_lo), each read from the digits of
+    its argument (module docstring): O(depth) whatever |B| is.
     """
     m_fact = factorial(depth)
-    k_lo = max(0, math.floor(b_lo * m_fact))
-    k_hi = min(m_fact - 1, math.ceil(b_hi * m_fact))
-    hits = 0
+    k_lo = max(0, b_lo.numerator * m_fact // b_lo.denominator)
+    k_hi = min(m_fact - 1, -(-b_hi.numerator * m_fact // b_hi.denominator) - 1)
+    hits = max(0, k_hi - k_lo + 1)
     in_e = 0
-    for k in range(k_lo, k_hi + 1):
-        if Fraction(k, m_fact) < b_hi and Fraction(k + 1, m_fact) > b_lo:
-            hits += 1
-            if _index_in_e(constraints, k, depth):
-                in_e += 1
+    if hits:
+        counts = constraints.allowed_digit_counts(depth)
+        in_e = _anchors_in_e_below(counts, k_hi + 1) - _anchors_in_e_below(counts, k_lo)
     return Fraction(in_e, count_cylinders(constraints, depth)), hits
 
 
-def chain_coefficient(constraints: DigitConstraintSet, depth: int, s: float) -> float:
-    """3 (1/i!)^{1-s} prod_{f(j) <= i} (f(j)+1), the final mass-bound coefficient."""
+def log_chain_coefficient(constraints: DigitConstraintSet, depth: int, s: float) -> float:
+    """log of 3 (1/i!)^{1-s} prod_{f(j) <= i} (f(j)+1), the final mass-bound coefficient."""
     log_coeff = math.log(3.0) - (1.0 - s) * math.lgamma(depth + 1)
     for m in constraints.constrained_positions(depth + 1):  # m = f(j) + 1
         log_coeff += math.log(m)
-    return math.exp(log_coeff)
+    return log_coeff
+
+
+def chain_coefficient(constraints: DigitConstraintSet, depth: int, s: float) -> float:
+    """3 (1/i!)^{1-s} prod_{f(j) <= i} (f(j)+1); it underflows to 0.0 at large depth."""
+    return math.exp(log_chain_coefficient(constraints, depth, s))
+
+
+def _log(x: Fraction) -> float:
+    """log x for a positive Fraction of any size (float(x) may underflow)."""
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+# a_constant must be a normal float: log of the smallest and largest.
+_LOG_FLOAT_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 def mass_check(
@@ -153,7 +186,10 @@ def mass_check(
     (|B| (i+1)! + 2) / count(i+1) and the closed-form coefficient
     3 (1/i!)^{1-s} prod (f(j)+1) |B|^s.  mu(B) is the exact mass of the
     depth-(i+1) cylinders meeting B (an upper bound for the true measure
-    of B, which only strengthens the verdict).
+    of B, which only strengthens the verdict).  The chain comparison and
+    a_constant, the largest mu(B)/|B|^s, are worked out in logs, as |B|^s
+    leaves the float range near depth 178; a ValueError names the depth
+    and s when a_constant itself is outside the normal float range.
     """
     if not (0 < s < 1):
         raise ValueError("need 0 < s < 1")
@@ -161,14 +197,17 @@ def mass_check(
         raise ValueError("need 2 <= i0 < i_max")
     rng = random.Random(seed)
     report = MassCheckReport(s=s, i0=i0, i_max=i_max, a_constant=0.0)
+    log_a, log_a_depth = -math.inf, i0
     for i in range(i0, i_max):
+        m_fact = factorial(i + 1)
         rho_i = Fraction(1, factorial(i))
-        rho_next = Fraction(1, factorial(i + 1))
+        rho_next = Fraction(1, m_fact)
         count_next = count_cylinders(constraints, i + 1)
+        log_chain_i = log_chain_coefficient(constraints, i, s)
         candidates: list[tuple[Fraction, Fraction]] = []
         # Cylinder-aligned edge cases: B straddling an anchor is where the
         # +2 in the covering count earns its keep.
-        anchor = Fraction(rng.randrange(factorial(i + 1)), factorial(i + 1))
+        anchor = Fraction(rng.randrange(m_fact), m_fact)
         candidates.append((anchor, anchor + rho_i))
         half = rho_next / 2
         candidates.append((anchor - half, anchor - half + rho_i))
@@ -176,10 +215,9 @@ def mass_check(
         # so sparse constraint sets still contribute to the empirical constant.
         candidates.append((Fraction(0), rho_i))
         k_in = 0
-        for m in range(2, i + 2):
-            hi = constraints.allowed_digit_count(m) - 1
-            k_in = k_in * m + rng.randint(0, hi)
-        e_anchor = Fraction(k_in, factorial(i + 1))
+        for m, allowed in enumerate(constraints.allowed_digit_counts(i + 1), start=2):
+            k_in = k_in * m + rng.randint(0, allowed - 1)
+        e_anchor = Fraction(k_in, m_fact)
         candidates.append((e_anchor, e_anchor + rho_i))
         while len(candidates) < intervals_per_depth:
             width = rho_next + (rho_i - rho_next) * Fraction(rng.randrange(1, 1000), 1000)
@@ -193,13 +231,22 @@ def mass_check(
                 continue
             mu, hits = covering_measure(constraints, b_lo, b_hi, i + 1)
             report.intervals_tested += 1
-            covering_bound = Fraction(math.floor(width * factorial(i + 1)) + 2, count_next)
-            chain = chain_coefficient(constraints, i, s) * float(width) ** s
-            bound = min(float(covering_bound), chain)
-            if mu > covering_bound or float(mu) > chain * (1 + 1e-12):
+            covering_bound = Fraction(width.numerator * m_fact // width.denominator + 2, count_next)
+            log_mu = _log(mu) if mu else -math.inf
+            log_width = _log(width)
+            log_chain = log_chain_i + s * log_width
+            # 1e-12: the relative slack of the chain comparison, as a log.
+            if mu > covering_bound or log_mu > log_chain + 1e-12:
+                bound = min(float(covering_bound), math.exp(log_chain))
                 report.violations.append(MassViolation(i, b_lo, b_hi, mu, bound))
-            if width > 0 and mu > 0:
-                report.a_constant = max(report.a_constant, float(mu) / float(width) ** s)
+            if log_mu - s * log_width > log_a:
+                log_a, log_a_depth = log_mu - s * log_width, i
+    if not _LOG_FLOAT_RANGE[0] <= log_a <= _LOG_FLOAT_RANGE[1]:
+        raise ValueError(
+            f"a_constant = exp({log_a:.6g}), the largest mu(B)/|B|^s (depth {log_a_depth}, "
+            f"s = {s}), is outside the normal float range"
+        )
+    report.a_constant = math.exp(log_a)
     return report
 
 
@@ -212,8 +259,8 @@ def dimension_lower_estimate(
     out = []
     log_count = 0.0
     log_fact = 0.0
-    for m in range(2, j_max + 1):
-        log_count += math.log(constraints.allowed_digit_count(m))
+    for m, allowed in enumerate(constraints.allowed_digit_counts(j_max), start=2):
+        log_count += math.log(allowed)
         log_fact += math.log(m)
         out.append((m, log_count / log_fact))
     return out

@@ -111,7 +111,8 @@ def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> Sec
     """Partial sums of u(z) on the sector's (r, theta) grid, with the max modulus."""
     a, n = c.prefix(n_terms)
     thetas = sector.thetas()
-    phase = np.exp(2j * np.pi * np.outer(thetas, n))  # (n_theta, A+1)
+    phase = 2j * np.pi * np.outer(thetas, n)  # (n_theta, A+1)
+    np.exp(phase, out=phase)  # in place: one (n_theta, A+1) grid less at the peak
     vals = np.empty((len(sector.r_grid), len(thetas)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # raised as a ValueError below
         for i, r in enumerate(sector.r_grid):
@@ -243,7 +244,11 @@ def read_coeffs_file(fp: TextIO) -> CoefficientSequence:
         raise ValueError("missing alphabet declaration")
     alphabet = frozenset(_parse_value(t) for t in lines[1].split()[1:])
     values: list = []
+    runs: dict[str, list] = {}  # token -> its run of values: each distinct token is parsed once
     for tok in " ".join(lines[2:]).split():
-        count_s, _, val_s = tok.partition("*")
-        values.extend([_parse_value(val_s)] * int(count_s))
+        run = runs.get(tok)
+        if run is None:
+            count_s, _, val_s = tok.partition("*")
+            run = runs[tok] = [_parse_value(val_s)] * int(count_s)
+        values += run
     return CoefficientSequence(tuple(values), alphabet)

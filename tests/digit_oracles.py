@@ -44,6 +44,41 @@ def enumerate_cylinder_digits(
     return tuples
 
 
+def _index_in_e(constraints: DigitConstraintSet, k: int, depth: int) -> bool:
+    """Whether the depth-cylinder anchored at k/depth! belongs to E u {0}."""
+    for m in range(depth, 1, -1):
+        k, digit = divmod(k, m)
+        cap = constraints.cap_for_position(m)
+        if cap is not None and digit > cap:
+            return False
+    return True
+
+
+def covering_measure_by_anchors(
+    constraints: DigitConstraintSet, b_lo: Fraction, b_hi: Fraction, depth: int
+) -> tuple[Fraction, int]:
+    """covering_measure anchor by anchor: each k/depth! tested against B and its caps.
+
+    The candidate anchors k/depth! are confined to an interval of length
+    |B| + 1/depth!, so at most |B|*depth! + 2 cylinders are ever touched.
+    """
+    m_fact = factorial(depth)
+    k_lo = max(0, math.floor(b_lo * m_fact))
+    k_hi = min(m_fact - 1, math.ceil(b_hi * m_fact))
+    hits = 0
+    in_e = 0
+    for k in range(k_lo, k_hi + 1):
+        if Fraction(k, m_fact) < b_hi and Fraction(k + 1, m_fact) > b_lo:
+            hits += 1
+            if _index_in_e(constraints, k, depth):
+                in_e += 1
+    count = 1
+    for m in range(2, depth + 1):
+        cap = constraints.cap_for_position(m)
+        count *= m if cap is None else min(m - 1, cap) + 1
+    return Fraction(in_e, count), hits
+
+
 def frac_factorial_by_digits(m: int, f: FactoradicReal) -> tuple[Fraction, Fraction]:
     """{m! alpha} and its error bound by Horner over the digits at positions m+1..depth."""
     if m < 1:

@@ -152,6 +152,36 @@ class TestVerbs:
         result = runner.invoke(main, ["construct", "--f", "pow2", "--nmax", "30"])
         assert result.exit_code == 3
 
+    def test_construct_past_the_text_limit_is_config_error(self, runner):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("this interpreter converts integers of any length to text")
+        # n2: 41 + 1681! has 4695 decimal digits, over the default limit of 4300.
+        result = runner.invoke(main, ["construct", "--f", "n2", "--nmax", "41"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "--nmax 41" in result.output and f"limit of {limit} digits" in result.output
+
+    def test_construct_past_the_float_range_is_budget_error(self, runner):
+        # pow2: f(1100) = 2^1100 has no float, so lgamma cannot size f(1100)!.
+        result = runner.invoke(main, ["construct", "--f", "pow2", "--nmax", "1100"])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_mass_check_past_depth_177(self, runner):
+        # float(|B|) underflows to 0 from depth 178 on; the check works in logs.
+        result = runner.invoke(main, ["mass-check", "--s", "0.5", "--i0", "178", "--imax", "181"])
+        assert result.exit_code == 0, result.output
+        doc = _strict_json(result.output)
+        assert doc["violations"] == [] and doc["intervals_tested"] > 40
+        assert doc["a_constant"] > 0
+
+    def test_mass_check_a_constant_below_the_float_range_is_config_error(self, runner):
+        result = runner.invoke(main, ["mass-check", "--s", "0.3", "--i0", "250", "--imax", "252"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "depth 250, s = 0.3" in result.output and '"a_constant"' not in result.output
+
     def test_factoradic_encode_decode(self, runner, tmp_path):
         out = tmp_path / "x.digits"
         result = runner.invoke(

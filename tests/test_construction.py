@@ -196,6 +196,24 @@ class TestDigitConstraints:
         assert constraints.allowed_digit_count(5) == 2
         assert constraints.allowed_digit_count(4) == 4
 
+    def test_count_table_matches_the_caps_however_it_grows(self):
+        for f_name in ("identity", "n2", "pow2"):
+            for a_name in ("n2", "pow2", "nfact"):
+                table = DigitConstraintSet(get_growth(f_name), get_weights(a_name))
+                caps = DigitConstraintSet(get_growth(f_name), get_weights(a_name))
+                want = [m if caps.cap_for_position(m) is None
+                        else min(m - 1, caps.cap_for_position(m)) + 1 for m in range(2, 301)]
+                # Grow the table out of order: a deep read, a shallow one, one position.
+                assert table.allowed_digit_count(150) == want[148]
+                assert table.allowed_digit_counts(40) == want[:39]
+                assert table.allowed_digit_counts(300) == want
+                assert [table.allowed_digit_count(m) for m in range(2, 301)] == want
+
+    def test_allowed_digit_count_needs_a_digit_position(self):
+        constraints = DigitConstraintSet(F_N2, A_N2)
+        with pytest.raises(ValueError, match="positions start at 2"):
+            constraints.allowed_digit_count(1)
+
     def test_membership_zero(self):
         constraints = DigitConstraintSet(F_N2, A_N2)
         assert membership(constraints, FactoradicReal((0, 0, 0, 0))) is Trit.YES

@@ -1,9 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besum.construction import DigitConstraintSet, get_growth, get_weights
 from besum.dimension import (
@@ -18,7 +21,7 @@ from besum.dimension import (
     measure_of_cylinder,
 )
 from besum.factoradic import FactoradicReal, encode, from_digit_map
-from digit_oracles import enumerate_cylinder_digits
+from digit_oracles import covering_measure_by_anchors, enumerate_cylinder_digits
 
 F_ID = get_growth("identity")
 F_N2 = get_growth("n2")
@@ -133,6 +136,34 @@ class TestCylinderIndexing:
                 assert hits == brute
                 assert hits <= (b_hi - b_lo) * m_fact + 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_covering_measure_equals_the_anchor_by_anchor_count(self, data):
+        f = data.draw(st.sampled_from(("identity", "n2", "n3", "pow2")))
+        a = data.draw(st.sampled_from(("n2", "pow2", "nfact")))
+        depth = data.draw(st.integers(2, 40))
+        m_fact = factorial(depth)
+        # Anchors near 0, anywhere, and near 1, with ends below 0 and above 1.
+        k = data.draw(st.integers(-3, 3) | st.integers(0, m_fact)
+                      | st.integers(m_fact - 2000, m_fact + 3))
+        part = st.just(Fraction(0)) | st.fractions(0, 1, max_denominator=10**6)  # 0: on an anchor
+        b_lo = (k + data.draw(part)) / m_fact
+        b_hi = b_lo + (data.draw(st.integers(0, 2000)) + data.draw(part)) / m_fact
+        constraints = DigitConstraintSet(get_growth(f), get_weights(a))
+        assert covering_measure(constraints, b_lo, b_hi, depth) == \
+            covering_measure_by_anchors(constraints, b_lo, b_hi, depth)
+
+    def test_covering_measure_cost_does_not_grow_with_the_interval(self):
+        # ~10^6 depth-12 cylinders: the anchor-by-anchor count takes seconds.
+        b_lo = Fraction(1, 3)
+        b_hi = b_lo + Fraction(10**6, factorial(12))
+        E_N2.allowed_digit_counts(12)
+        start = time.process_time()
+        mu, hits = covering_measure(E_N2, b_lo, b_hi, 12)
+        assert time.process_time() - start < 0.1
+        assert hits == 10**6
+        assert 0 < mu < Fraction(hits, count_cylinders(E_N2, 12))
+
     def test_prefix_stability_under_small_additions(self):
         # Adding a number below 1/i! never changes digits at positions <= i.
         rng = random.Random(41)
@@ -168,6 +199,19 @@ class TestMassCheck:
         shallow = mass_check(e_id, 0.9, 3, 6, seed=7)
         deep = mass_check(e_id, 0.9, 7, 10, seed=7)
         assert deep.a_constant > 5 * shallow.a_constant
+
+    def test_deep_window_runs_quickly(self):
+        # |B|^s is below the float range here; mu(B) is counted from digits.
+        start = time.process_time()
+        report = mass_check(E_N2, 0.5, 240, 242, seed=3)
+        assert time.process_time() - start < 0.5
+        assert report.violations == []
+        assert report.intervals_tested > 30
+        assert 0 < report.a_constant < 1e-200
+
+    def test_a_constant_below_the_float_range_is_an_error(self):
+        with pytest.raises(ValueError, match=r"depth 330, s = 0\.5\).*outside the normal float"):
+            mass_check(E_N2, 0.5, 330, 331, seed=3)
 
     def test_json_schema(self):
         report = mass_check(E_N2, 0.5, 3, 6, seed=1)

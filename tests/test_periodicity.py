@@ -179,6 +179,21 @@ class TestCoeffsFile:
         buf.seek(0)
         assert read_coeffs_file(buf) == c
 
+    def test_round_trip_keeps_mixed_int_and_complex_values(self):
+        rng = random.Random(43)
+        alphabet = (0, 2, -3, 1j, 1 + 1j, -0.5 + 0j, 2.5j)
+        values = [0]
+        while len(values) < 400:
+            values += [rng.choice(alphabet)] * rng.randint(1, 4)
+        c = CoefficientSequence(tuple(values), frozenset(alphabet))
+        buf = io.StringIO()
+        write_coeffs_file(c, buf)
+        buf.seek(0)
+        back = read_coeffs_file(buf)
+        assert back == c
+        assert [type(v) for v in back.values] == [type(v) for v in values]
+        assert {type(v) for v in back.alphabet} == {int, complex}
+
     def test_rle_compactness(self):
         c = CoefficientSequence((0,) * 50 + (1,) * 50)
         buf = io.StringIO()
