@@ -163,10 +163,73 @@ def _emit_csv(out: Path | None, fields: list[str], rows: list[dict]) -> None:
     _emit(out, "\n".join(lines) + "\n")
 
 
+def _column_json(values: tuple) -> list[str] | None:
+    """Each value as json.dumps writes it, for a column of one scalar type; else None."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if not all(map(math.isfinite, values)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(json.encoder.encode_basestring_ascii, values))
+    if kinds <= {bool, type(None)}:
+        return ["null" if v is None else "true" if v else "false" for v in values]
+    return None
+
+
+def _records_json(rows: list) -> str | None:
+    """json.dumps(rows, indent=2) nested one level deep, for a list of flat records; else None.
+
+    Flat records are dicts with the same str keys in the same order, each
+    key's column of one scalar type (int, float, str, or bool and None).
+    Each column is encoded as json does it (int.__repr__, float.__repr__
+    after a finiteness check, encode_basestring_ascii) and one %-template
+    writes every row: the same text as the pure-Python encoder that
+    indent=2 selects, several times faster.
+    """
+    if set(map(type, rows)) != {dict}:
+        return None
+    key_orders = set(map(tuple, rows))
+    if len(key_orders) != 1:
+        return None
+    keys = key_orders.pop()
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    columns = []
+    for values in zip(*map(dict.values, rows)):
+        column = _column_json(values)
+        if column is None:
+            return None
+        columns.append(column)
+    fields = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in keys)
+    template = "    {\n" + ",\n".join(f"      {k}: %s" for k in fields) + "\n    }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+
+
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2, allow_nan=False), with lists of flat records written fast.
+
+    indent=2 makes json use its pure-Python encoder; a long list of records
+    (dimension's series) spent most of its op there.  Strict JSON: a NaN or
+    an infinity is an error (ValueError), not a non-standard constant.
+    """
+    records = {k: text for k, v in doc.items() if type(v) is list and (text := _records_json(v))}
+    if not records:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    items = []
+    for key, value in doc.items():
+        text = records.get(key)
+        if text is None:
+            text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+        items.append(f"  {json.encoder.encode_basestring_ascii(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def _emit_json(out: Path | None, payload: dict, seed: int | None = None) -> None:
     doc = {"provenance": _provenance(seed), **payload}
-    # Strict JSON: a NaN or an infinity is an error, not a non-standard constant.
-    _emit(out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _emit(out, _json_text(doc) + "\n")
 
 
 def _emit_digits(out: Path | None, value: FactoradicReal) -> None:

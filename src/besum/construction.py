@@ -42,7 +42,7 @@ E_UPPER = Fraction(271828182846, 10**11)
 
 
 class ResourceBudgetError(RuntimeError):
-    """Raised when a computation would exceed the big-integer bit budget."""
+    """Raised when a computation would exceed a resource budget: big-integer bits or input length."""
 
 
 @dataclass(frozen=True)

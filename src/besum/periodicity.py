@@ -7,43 +7,77 @@ constant (otherwise u has a pole at a nontrivial root of unity).  This
 module implements the computable side of that story: sector evaluation,
 the Abel-summation bound, period detection on finite prefixes, and the
 root-of-unity collapse test.
+
+A sequence is held once as values and once as a small-integer code
+array (`CoefficientSequence.codes`).  Period detection and the collapse
+test compare codes; sector sums read the alphabet's complex values
+through them, summed in sqrt(A)-sized blocks (see `sector_eval`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .expsum import Angle, AngleLike, e
+from .construction import ResourceBudgetError
+from .expsum import Angle, AngleLike
 
-COLLAPSE_TOL = 1e-9
+# Longest coefficient file read_coeffs_file accepts: the values tuple costs
+# 8 bytes a term, so 10^7 terms take about 90 MB with the code array.
+COEFFS_MAX_LENGTH = 10**7
+
+
+def _as_complex(v) -> complex:
+    """v as a complex double; a real past the float range becomes +-inf, which sector sums refuse."""
+    try:
+        return complex(v)
+    except OverflowError:
+        return complex(math.inf if v > 0 else -math.inf)
 
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Finite prefix a_0..a_L over a declared finite alphabet; a_0 = 0."""
+    """Finite prefix a_0..a_L over a declared finite alphabet; a_0 = 0.
+
+    `symbols` is the alphabet as complex numbers, in a fixed order, and
+    `codes[n]` is the index of a_n in it (the smallest unsigned dtype that
+    fits).  Values that compare equal, such as 1 and 1+0j, share a code.
+    Neither takes part in == or repr.
+    """
 
     values: tuple
     alphabet: frozenset = field(default=None)  # type: ignore[assignment]
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    symbols: np.ndarray = field(init=False, repr=False, compare=False)
+    _exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values or self.values[0] != 0:
             raise ValueError("coefficient sequences start with a_0 = 0")
         if self.alphabet is None:
             object.__setattr__(self, "alphabet", frozenset(self.values))
-        bad = set(self.values) - set(self.alphabet)
-        if bad:
-            raise ValueError(f"values outside the declared alphabet: {sorted(map(str, bad))}")
+        order = sorted(self.alphabet, key=str)
+        index = {v: i for i, v in enumerate(order)}
+        dtype = np.min_scalar_type(len(order) - 1)
+        try:
+            codes = np.fromiter(map(index.__getitem__, self.values), dtype, len(self.values))
+        except KeyError:
+            bad = set(self.values) - set(self.alphabet)
+            raise ValueError(f"values outside the declared alphabet: {sorted(map(str, bad))}") from None
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "symbols", np.array([_as_complex(v) for v in order]))
+        object.__setattr__(self, "_exact", all(isinstance(v, (int, Fraction)) for v in order))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def is_exact(self) -> bool:
-        """Whether every coefficient is an int or Fraction (exact collapse path)."""
-        return all(isinstance(v, (int, Fraction)) for v in self.values)
+        """Whether every alphabet symbol is an int or Fraction."""
+        return self._exact
 
     def prefix(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
         """(a_0..a_A as complex numbers, the indices 0..A) for 0 <= A inside the prefix."""
@@ -51,14 +85,7 @@ class CoefficientSequence:
             raise ValueError(f"A={n_terms} must be >= 0")
         if n_terms >= len(self):
             raise ValueError(f"A={n_terms} beyond available prefix of length {len(self)}")
-        return np.asarray([complex(v) for v in self.values[: n_terms + 1]]), np.arange(n_terms + 1)
-
-    @classmethod
-    def from_indicator(cls, members: set[int], length: int) -> "CoefficientSequence":
-        vals = tuple(1 if n in members else 0 for n in range(length))
-        if vals[0] != 0:
-            raise ValueError("0 cannot be a member (a_0 = 0)")
-        return cls(vals, frozenset({0, 1}))
+        return self.symbols[self.codes[: n_terms + 1]], np.arange(n_terms + 1)
 
     @classmethod
     def ultimately_periodic(cls, preperiod: Sequence, block: Sequence, length: int) -> "CoefficientSequence":
@@ -91,13 +118,6 @@ class SectorSpec:
         return np.linspace(self.theta1, self.theta2, self.n_theta)
 
 
-def partial_power_sum(c: CoefficientSequence, r: float, theta: float, n_terms: int) -> complex:
-    """sum_{n<=A} a_n r^n e(n theta)."""
-    a, n = c.prefix(n_terms)
-    z = r * np.exp(2j * np.pi * theta)
-    return complex(np.sum(a * z**n))
-
-
 @dataclass
 class SectorGrid:
     thetas: np.ndarray
@@ -107,17 +127,51 @@ class SectorGrid:
     max_at: tuple[float, float]  # (r, theta) attaining the max
 
 
+def _unit_powers(k: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """e(theta k) as a (len(k), len(thetas)) array; theta k is reduced mod 1 (exactly) first."""
+    return np.exp(2j * np.pi * (np.outer(k, thetas) % 1.0))
+
+
 def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> SectorGrid:
-    """Partial sums of u(z) on the sector's (r, theta) grid, with the max modulus."""
-    a, n = c.prefix(n_terms)
+    """Partial sums of u(z) on the sector's (r, theta) grid, with the max modulus.
+
+    The sum over n <= A is blocked (baby step, giant step): with
+    B = ceil(sqrt(A+1)), Q = ceil((A+1)/B) and n = qB + s,
+
+        sum_{n<=A} a_n z^n = sum_{q<Q} z^{qB} sum_{s<B} a_{qB+s} z^s,
+
+    so for each radius the whole theta grid is one (Q x B) @ (B x n_theta)
+    product of the zero-padded prefix with baby[s, t] = r^s e(theta_t s),
+    weighted by giant[q, t] = r^{qB} e(theta_t qB) and summed over q.
+    That costs n_theta (B + Q) complex exps and O(n_theta A) multiply-adds,
+    with (Q x B) and (B or Q) x n_theta arrays, not an n_theta x (A+1) grid.
+
+    Error: with u = 2^-53, each value differs from sum_{n<=A} a_n r^n
+    e(theta n) (a_n as complex doubles, r and theta as given) by at most
+    about (2(B + Q) + 2 pi A + 20) u sum_{n<=A} |a_n| r^n.  theta k is
+    rounded once (at most u A turns, 2 pi u A radians, over both factors
+    of a term), reduced mod 1 exactly, and exp, powers and products each
+    add a few u; the length-B dot products and the length-Q sum add B u
+    and Q u, doubled for complex arithmetic.
+    """
+    a, _ = c.prefix(n_terms)
     thetas = sector.thetas()
-    phase = 2j * np.pi * np.outer(thetas, n)  # (n_theta, A+1)
-    np.exp(phase, out=phase)  # in place: one (n_theta, A+1) grid less at the peak
+    size = n_terms + 1
+    width = math.isqrt(n_terms) + 1  # B = ceil(sqrt(A+1))
+    rows = -(-size // width)  # Q = ceil((A+1)/B)
+    block = np.zeros(rows * width, dtype=complex)
+    block[:size] = a
+    block = block.reshape(rows, width)
+    s = np.arange(width)
+    qb = np.arange(rows) * width
+    baby_phase = _unit_powers(s, thetas)
+    giant_phase = _unit_powers(qb, thetas)
     vals = np.empty((len(sector.r_grid), len(thetas)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # raised as a ValueError below
         for i, r in enumerate(sector.r_grid):
-            radial = a * r**n
-            vals[i] = phase @ radial
+            baby = (r**s)[:, None] * baby_phase
+            giant = (r**qb)[:, None] * giant_phase
+            vals[i] = (giant * (block @ baby)).sum(axis=0)
     if not np.isfinite(vals).all():
         raise ValueError(f"sector sums over A={n_terms} terms are not finite (float overflow)")
     flat = int(np.argmax(np.abs(vals)))
@@ -158,6 +212,9 @@ def detect_ultimate_period(
     Minimality is lexicographic: smallest preperiod K first, then
     smallest period q.  Needs prefix length >= max_preperiod + 2*max_period
     so a reported period is seen at least twice past the preperiod.
+    For each q one vectorised compare of the codes, codes[:-q] != codes[q:],
+    gives the least K = last mismatch + 1: O(L) per period, O(L max_period)
+    in all.
     """
     length = len(c)
     if length < max_preperiod + 2 * max_period:
@@ -165,15 +222,13 @@ def detect_ultimate_period(
             f"prefix length {length} < max_preperiod + 2*max_period "
             f"= {max_preperiod + 2 * max_period}"
         )
-    vals = c.values
+    codes = c.codes
     best: tuple[int, int] | None = None
     for q in range(1, max_period + 1):
         # Minimal K for this q: one past the last mismatch a_n != a_{n+q}.
-        k_min = 0
-        for n in range(length - 1 - q, -1, -1):
-            if vals[n] != vals[n + q]:
-                k_min = n + 1
-                break
+        backwards = (codes[:-q] != codes[q:])[::-1]
+        last = int(backwards.argmax())  # the first True from the end, 0 if none
+        k_min = len(backwards) - last if backwards[last] else 0
         if k_min <= max_preperiod and (best is None or (k_min, q) < best):
             best = (k_min, q)
     return best
@@ -182,28 +237,21 @@ def detect_ultimate_period(
 def period_collapse_test(c: CoefficientSequence, preperiod: int, period: int) -> bool:
     """Does 1 + z + ... + z^{q-1} divide the periodic block polynomial?
 
-    True iff sum_{j<q} a_{K+j} w^j = 0 at every q-th root of unity w != 1,
-    i.e. iff the block is constant.  Exact alphabets get the exact
-    divisibility test; float alphabets are evaluated at the roots with a
-    1e-9 tolerance.
+    With block b = (a_K, ..., a_{K+q-1}) and P(z) = sum_{j<q} b_j z^j, the
+    values P(w^k), w = e(1/q), k = 0..q-1, are the discrete Fourier
+    transform of b; the inverse transform shows that P vanishes at every
+    q-th root of unity w^k != 1 iff b is constant.  That holds for any
+    complex block, so the answer is exact for every alphabet: the block's
+    codes are all equal.
     """
     length = len(c)
     if preperiod < 0 or period < 1 or preperiod + 2 * period > length:
         raise ValueError("need 0 <= K and K + 2q <= prefix length")
-    vals = c.values
-    for n in range(preperiod, length - period):
-        if vals[n] != vals[n + period]:
-            raise ValueError(f"(K={preperiod}, q={period}) is not a period of the prefix")
-    block = vals[preperiod : preperiod + period]
-    if c.is_exact():
-        # Degree of the block polynomial is < q, so divisibility by
-        # 1 + z + ... + z^{q-1} forces block = const * (1,...,1).
-        return all(b == block[0] for b in block)
-    for k in range(1, period):
-        w = e(k / period)
-        if abs(sum(b * w**j for j, b in enumerate(block))) > COLLAPSE_TOL:
-            return False
-    return True
+    codes = c.codes
+    if not np.array_equal(codes[preperiod : length - period], codes[preperiod + period :]):
+        raise ValueError(f"(K={preperiod}, q={period}) is not a period of the prefix")
+    block = codes[preperiod : preperiod + period]
+    return bool((block == block[0]).all())
 
 
 # --- coefficient-file format --------------------------------------------
@@ -211,6 +259,9 @@ def period_collapse_test(c: CoefficientSequence, preperiod: int, period: int) ->
 #   coeffs v1
 #   alphabet <v> <v> ...
 #   <count>*<value> <count>*<value> ...      (run-length encoded, a_0 first)
+#
+# Counts are integers >= 1, and the runs together hold at most
+# COEFFS_MAX_LENGTH values (ResourceBudgetError past it).
 
 COEFFS_MAGIC = "coeffs v1"
 
@@ -249,6 +300,20 @@ def read_coeffs_file(fp: TextIO) -> CoefficientSequence:
         run = runs.get(tok)
         if run is None:
             count_s, _, val_s = tok.partition("*")
-            run = runs[tok] = [_parse_value(val_s)] * int(count_s)
+            count = int(count_s)
+            if count < 1:
+                raise ValueError(f"run {tok!r}: the count must be >= 1")
+            if count > COEFFS_MAX_LENGTH:  # before the run is allocated
+                raise _over_length_limit(count)
+            run = runs[tok] = [_parse_value(val_s)] * count
         values += run
+        if len(values) > COEFFS_MAX_LENGTH:
+            raise _over_length_limit(len(values))
     return CoefficientSequence(tuple(values), alphabet)
+
+
+def _over_length_limit(length: int) -> ResourceBudgetError:
+    return ResourceBudgetError(
+        f"coefficient file holds at least {length} values, over the limit of "
+        f"{COEFFS_MAX_LENGTH} (periodicity.COEFFS_MAX_LENGTH)"
+    )

@@ -35,10 +35,10 @@ from besum.factoradic import FactoradicReal, Tail, decode, encode, frac_factoria
 from besum.periodicity import (
     CoefficientSequence,
     detect_ultimate_period,
-    partial_power_sum,
     period_collapse_test,
 )
 from digit_oracles import enumerate_cylinder_digits, tail_sum_identity
+from periodicity_oracles import partial_power_sum
 
 F_ID = get_growth("identity")
 F_N2 = get_growth("n2")

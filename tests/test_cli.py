@@ -11,9 +11,11 @@ import click.testing
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import besum
-from besum.cli import main
+from besum.cli import _json_text, main
 from besum.construction import get_growth, rational_profile
 from besum.dimension import condition_ii_check
 from besum.factoradic import encode, write_digit_file
@@ -449,3 +451,124 @@ def test_non_finite_json_value_is_config_error(runner, tmp_path, monkeypatch):
 def test_condition_ii_needs_a_positive_range():
     with pytest.raises(ValueError, match="i_max"):
         condition_ii_check(get_growth("n2"), 0.5, 0)
+
+
+# --- JSON emission: the record template against json.dumps ---------------------
+
+_SCALAR_KINDS = [
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300]),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+]
+_SCALARS = st.one_of(_SCALAR_KINDS)
+
+
+@st.composite
+def _record_lists(draw):
+    """Lists of flat records: one scalar kind per column, or anything per column."""
+    keys = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    columns = [draw(st.sampled_from([*_SCALAR_KINDS, _SCALARS]))
+               for _ in keys]
+    n_rows = draw(st.integers(0, 6))
+    return [{k: draw(col) for k, col in zip(keys, columns)} for _ in range(n_rows)]
+
+
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _record_lists(), st.just([])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=12,
+)
+_DOCS = st.dictionaries(st.text(max_size=8), st.one_of(_VALUES, _record_lists()), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_DOCS)
+def test_json_text_equals_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_DOCS.filter(lambda d: d), data=st.data())
+def test_json_text_refuses_nan_and_infinity_anywhere(doc, data):
+    key = data.draw(st.sampled_from(sorted(doc)))
+    bad = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    rows = doc[key] if isinstance(doc[key], list) and doc[key] else None
+    if rows is not None and all(type(r) is dict and r for r in rows):
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.sampled_from(sorted(row)))] = bad
+    else:
+        doc[key] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _json_text(doc)
+
+
+def test_dimension_series_bytes_equal_json_dumps(runner):
+    result = runner.invoke(main, ["dimension", "--jmax", "300"])
+    assert result.exit_code == 0, result.output
+    assert result.output == json.dumps(json.loads(result.output), indent=2) + "\n"
+
+
+# --- periodicity verbs: exact collapse, bad run counts ---------------------------
+
+
+def test_periodicity_tiny_float_block_does_not_collapse(runner, tmp_path):
+    coeffs = tmp_path / "c.coeffs"
+    coeffs.write_text("coeffs v1\nalphabet 0 1e-10j\n" + "1*0 1*1e-10j " * 40 + "\n")
+    result = runner.invoke(main, ["periodicity", "--coeffs", str(coeffs), "--max-preperiod", "4",
+                                  "--max-period", "4"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert (doc["periodic"], doc["period"], doc["collapse"]) == (True, 2, False)
+
+
+_VERB_ARGS = {
+    "periodicity": ["--max-preperiod", "2", "--max-period", "2"],
+    "sector-eval": ["--theta1", "0.1", "--theta2", "0.2", "--A", "5"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGS))
+@pytest.mark.parametrize("token, code, message", [
+    ("-5*1", 2, "count must be >= 1"),
+    ("0*1", 2, "count must be >= 1"),
+    ("99999999999999999999*1", 3, "over the limit of 10000000"),
+    ("10000000000*1", 3, "over the limit of 10000000"),
+])
+def test_bad_run_counts_exit_cleanly(runner, tmp_path, verb, token, code, message):
+    coeffs = tmp_path / "c.coeffs"
+    coeffs.write_text(f"coeffs v1\nalphabet 0 1\n1*0 6*1 {token}\n")
+    result = runner.invoke(main, [verb, "--coeffs", str(coeffs), *_VERB_ARGS[verb]])
+    assert result.exit_code == code, result.output
+    assert message in result.output and "Traceback" not in result.output
+    assert not isinstance(result.exception, (OverflowError, MemoryError))
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGS))
+def test_runs_past_the_length_limit_exit_3(runner, tmp_path, monkeypatch, verb):
+    monkeypatch.setattr("besum.periodicity.COEFFS_MAX_LENGTH", 50)
+    coeffs = tmp_path / "c.coeffs"
+    coeffs.write_text("coeffs v1\nalphabet 0 1\n1*0 " + "20*1 " * 3 + "\n")
+    result = runner.invoke(main, [verb, "--coeffs", str(coeffs), *_VERB_ARGS[verb]])
+    assert result.exit_code == 3, result.output
+    assert "over the limit of 50" in result.output
+
+
+def test_integer_past_the_float_range(runner, tmp_path):
+    # Exact codes still find the period; the sector sums overflow and say so (exit 2).
+    big = str(10**400)
+    coeffs = tmp_path / "c.coeffs"
+    coeffs.write_text(f"coeffs v1\nalphabet 0 {big}\n" + f"1*0 1*{big} " * 20 + "\n")
+    result = runner.invoke(main, ["periodicity", "--coeffs", str(coeffs), "--max-preperiod", "2",
+                                  "--max-period", "4"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["period"] == 2
+    result = runner.invoke(main, ["sector-eval", "--coeffs", str(coeffs),
+                                  *_VERB_ARGS["sector-eval"]])
+    assert result.exit_code == 2, result.output
+    assert "not finite" in result.output

@@ -1,19 +1,30 @@
 import io
+import math
 import random
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from besum.construction import ResourceBudgetError
 from besum.periodicity import (
     CoefficientSequence,
     SectorSpec,
     abel_bound_check,
     detect_ultimate_period,
-    partial_power_sum,
     period_collapse_test,
     read_coeffs_file,
     sector_eval,
     write_coeffs_file,
+)
+from periodicity_oracles import (
+    detect_ultimate_period_by_scan,
+    from_indicator,
+    partial_power_sum,
+    sector_grid_direct,
 )
 
 
@@ -28,7 +39,7 @@ def indicator_of_shifted_factorials(length: int) -> CoefficientSequence:
             break
         members.add(el)
         n += 1
-    return CoefficientSequence.from_indicator(members, length)
+    return from_indicator(members, length)
 
 
 class TestCoefficientSequence:
@@ -207,3 +218,152 @@ class TestCoeffsFile:
     def test_rejects_missing_alphabet(self):
         with pytest.raises(ValueError):
             read_coeffs_file(io.StringIO("coeffs v1\n3*0\n"))
+
+
+# --- the code array, the blocked sector sum and the detector against their oracles ---
+
+U = 2.0**-53
+# Alphabets for the random sequences.  The last ones hold hash-equal values
+# (1 and 1+0j, 0 and 0j) that must share a code, as they compare equal.
+ALPHABETS = (
+    (0, 1),
+    (0, 1, 2, 7),
+    (0, 1j, 1 + 1j, -0.5 + 0j),
+    (0, 1, 2.5, 1j, -3),
+    (0, 1, 1 + 0j, 2),
+    (0, 0j, 1e-10 + 0j, 1e-10j),
+)
+
+
+def _stated_bound(c: CoefficientSequence, r: float, n_terms: int) -> float:
+    """sector_eval's error bound: (2(B + Q) + 2 pi A + 20) u sum_{n<=A} |a_n| r^n."""
+    width = math.isqrt(n_terms) + 1
+    rows = -(-(n_terms + 1) // width)
+    a, n = c.prefix(n_terms)
+    return (2 * (width + rows) + 2 * math.pi * n_terms + 20) * U * float(np.sum(np.abs(a) * r**n))
+
+
+def _exact_power_sum(c: CoefficientSequence, r: float, theta: float, n_terms: int) -> complex:
+    """sum_{n<=A} a_n r^n e(n theta) at 30 digits, r and theta taken as the doubles given."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(r) * mpmath.expjpi(2 * mpmath.mpf(theta))
+        total, power = mpmath.mpc(0), mpmath.mpc(1)
+        for v in c.values[: n_terms + 1]:
+            total += mpmath.mpc(complex(v)) * power
+            power *= z
+        return complex(total)
+
+
+@st.composite
+def periodic_sequences(draw, max_pre=12, max_block=9, length=80):
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    pre = draw(st.lists(st.sampled_from(alphabet), max_size=max_pre))
+    block = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_block))
+    return CoefficientSequence.ultimately_periodic(pre, block, length)
+
+
+@st.composite
+def random_sequences(draw, max_length=400):
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    tail = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_length))
+    return CoefficientSequence((0, *tail), frozenset(alphabet))
+
+
+class TestCodes:
+    def test_codes_index_the_symbols(self):
+        c = CoefficientSequence((0, 1, 1 + 0j, 2.5, 1j), frozenset({0, 1, 2.5, 1j}))
+        assert c.codes.dtype == np.uint8
+        assert c.codes[1] == c.codes[2]  # 1 and 1+0j are one symbol
+        assert list(c.symbols[c.codes]) == [0, 1, 1, 2.5, 1j]
+        assert not c.is_exact()
+        assert CoefficientSequence((0, 1, Fraction(1, 2))).is_exact()
+
+    def test_codes_stay_out_of_eq_and_repr(self):
+        c = CoefficientSequence((0, 1, 0, 1))
+        assert c == CoefficientSequence((0, 1, 0, 1), frozenset({0, 1}))
+        assert repr(c) == "CoefficientSequence(values=(0, 1, 0, 1), alphabet=frozenset({0, 1}))"
+        assert hash(c) == hash(CoefficientSequence((0, 1, 0, 1)))
+
+    def test_wide_alphabet_gets_a_wider_dtype(self):
+        c = CoefficientSequence(tuple(range(300)))
+        assert c.codes.dtype == np.uint16
+        assert list(c.symbols[c.codes]) == list(range(300))
+
+    def test_outside_value_message(self):
+        with pytest.raises(ValueError, match=r"values outside the declared alphabet: \['2', '3'\]"):
+            CoefficientSequence((0, 2, 1, 3), frozenset({0, 1}))
+
+
+class TestAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.one_of(periodic_sequences(), random_sequences(max_length=60)),
+           max_pre=st.integers(0, 20), max_period=st.integers(1, 12))
+    def test_detect_equals_the_scan(self, c, max_pre, max_period):
+        if len(c) < max_pre + 2 * max_period:
+            with pytest.raises(ValueError, match="prefix length"):
+                detect_ultimate_period(c, max_pre, max_period)
+            return
+        found = detect_ultimate_period(c, max_pre, max_period)
+        assert found == detect_ultimate_period_by_scan(c, max_pre, max_period)
+        if found is not None:
+            k, q = found
+            block = c.values[k : k + q]
+            assert period_collapse_test(c, k, q) == (len(set(block)) == 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=random_sequences(),
+        data=st.data(),
+        theta1=st.floats(0, 0.9),
+        width=st.floats(0.001, 0.1),
+        radii=st.lists(st.floats(0, 0.9999), min_size=1, max_size=3),
+        n_theta=st.integers(2, 6),
+    )
+    def test_blocked_sum_within_the_stated_bound(self, c, data, theta1, width, radii, n_theta):
+        n_terms = data.draw(st.integers(0, len(c) - 1))
+        sector = SectorSpec(theta1, theta1 + width, tuple(radii), n_theta)
+        grid = sector_eval(c, sector, n_terms)
+        bounds = [_stated_bound(c, r, n_terms) for r in radii]
+        direct = sector_grid_direct(c, sector, n_terms)
+        for i in range(len(radii)):
+            assert np.all(np.abs(grid.values[i] - direct[i]) <= 2 * bounds[i] + 1e-300)
+        for _ in range(2):
+            i = data.draw(st.integers(0, len(radii) - 1))
+            t = data.draw(st.integers(0, n_theta - 1))
+            exact = _exact_power_sum(c, radii[i], float(grid.thetas[t]), n_terms)
+            assert abs(grid.values[i, t] - exact) <= bounds[i]
+
+    def test_long_prefix_within_the_stated_bound(self):
+        rng = random.Random(3)
+        c = CoefficientSequence((0, *(rng.choice((0, 1, 3, 5)) for _ in range(30000))))
+        grid = sector_eval(c, SectorSpec(0.31, 0.37, (0.999,), 4), 30000)
+        exact = _exact_power_sum(c, 0.999, float(grid.thetas[3]), 30000)
+        assert abs(grid.values[0, 3] - exact) <= _stated_bound(c, 0.999, 30000)
+
+
+class TestCollapseIsExactForEveryAlphabet:
+    def test_tiny_nonconstant_float_block_does_not_collapse(self):
+        # Under a 1e-9 tolerance at the roots of unity this block looked constant.
+        c = CoefficientSequence.ultimately_periodic([], [1e-10 + 0j, 0j], 40)
+        k, q = detect_ultimate_period(c, 4, 4)
+        assert q == 2
+        assert period_collapse_test(c, k, q) is False
+
+
+class TestReaderRunCounts:
+    @pytest.mark.parametrize("token", ["-5*1", "0*1", "-0*1"])
+    def test_count_below_one_rejected(self, token):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            read_coeffs_file(io.StringIO(f"coeffs v1\nalphabet 0 1\n1*0 {token}\n"))
+
+    @pytest.mark.parametrize("token", ["99999999999999999999*1", "10000000000*1"])
+    def test_count_past_the_limit_is_a_budget_error(self, token):
+        with pytest.raises(ResourceBudgetError, match="COEFFS_MAX_LENGTH"):
+            read_coeffs_file(io.StringIO(f"coeffs v1\nalphabet 0 1\n1*0 {token}\n"))
+
+    def test_runs_summing_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr("besum.periodicity.COEFFS_MAX_LENGTH", 100)
+        text = "coeffs v1\nalphabet 0 1\n1*0 " + "30*1 " * 3
+        assert len(read_coeffs_file(io.StringIO(text + "\n"))) == 91
+        with pytest.raises(ResourceBudgetError, match="over the limit of 100"):
+            read_coeffs_file(io.StringIO(text + "10*0\n"))
