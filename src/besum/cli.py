@@ -29,6 +29,7 @@ from .construction import (
     af_elements,
     af_sum_factoradic,
     af_sum_rational,
+    bound_profile,
     bound_theoretical,
     check_bit_budget,
     eq4_rhs,
@@ -450,6 +451,7 @@ def bound_cmd(f, a, alpha, N, out):
     a = get_weights(a)
     value = _load_alpha(alpha)
     _stop_if_dry_run()
+    bound_profile.cache_clear()  # one profile per invocation, for every N below
     rows = [{"N": n, "bound": bound_theoretical(f, a, value, n)} for n in _n_schedule(N)]
     _emit_csv(out, ["N", "bound"], rows)
 

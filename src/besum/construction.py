@@ -449,17 +449,75 @@ def bound_series_sum(f: GrowthFunction, a: WeightSequence, n_terms: int) -> Frac
     return Fraction(*_bound_series(f, a, n_terms))
 
 
+# Fractional bits of BoundProfile's fixed-point pass.
+BOUND_GUARD_BITS = 128
+
+
+class BoundProfile:
+    """sum_{n<=N} (1/a_n + e/(f(n)+1)), correctly rounded to a float, for every N.
+
+    One fixed-point pass with K = BOUND_GUARD_BITS fractional bits keeps
+    two running sums, s_a = sum_{m<=n} floor(2^K/a_m) and
+    s_f = sum_{m<=n} floor(2^K/(f(m)+1)), and the last n.  Each floor drops
+    less than one unit, so with e = e_num/e_den (E_UPPER) the series times
+    den = e_den 2^K lies in [lo, lo + (e_den + e_num) n), lo = e_den s_a +
+    e_num s_f.  Rounding is monotone: when lo/den and hi/den (correctly
+    rounded int divisions) are the same float, that float is the correctly
+    rounded series; otherwise the exact _bound_series decides.  The pass
+    extends on demand, and a read below the last n starts again from 1.
+    """
+
+    def __init__(self, f: GrowthFunction, a: WeightSequence):
+        self.f = f
+        self.a = a
+        self.bits = BOUND_GUARD_BITS
+        self.n = 0
+        self.sum_a = self.sum_f = 0
+
+    def value(self, n_terms: int) -> float:
+        if n_terms < self.n:
+            self.n = self.sum_a = self.sum_f = 0
+        one = 1 << self.bits
+        f, a, sum_a, sum_f = self.f, self.a, self.sum_a, self.sum_f
+        for m in range(self.n + 1, n_terms + 1):
+            sum_a += one // a(m)
+            sum_f += one // (f(m) + 1)
+        self.n, self.sum_a, self.sum_f = n_terms, sum_a, sum_f
+        e_num, e_den = E_UPPER.numerator, E_UPPER.denominator
+        lo = e_den * sum_a + e_num * sum_f
+        den = e_den << self.bits
+        value = lo / den
+        if value == (lo + (e_den + e_num) * n_terms) / den:
+            return value
+        num, den = _bound_series(f, a, n_terms)
+        return num / den
+
+
+@functools.lru_cache(maxsize=8)
+def bound_profile(f: GrowthFunction, a: WeightSequence) -> BoundProfile:
+    """The BoundProfile of (f, a), kept for the next few calls.
+
+    The `bound` verb reads one (f, a) at many N and clears the cache when it
+    starts, as with rational_profile.
+    """
+    return BoundProfile(f, a)
+
+
 def bound_theoretical(
     f: GrowthFunction, a: WeightSequence, alpha: AngleLike, n_terms: int
 ) -> float:
     """(2/|e(alpha)-1|) * (1 + 4 pi sum_{n<=N} (1/a_n + e/(f(n)+1))).
 
-    The series is taken to a float by one correctly rounded int division.
+    The series is its exact value correctly rounded, read from the (f, a)
+    BoundProfile: a fixed-point pass with K = BOUND_GUARD_BITS = 128
+    fractional bits brackets it in an interval N (1 + e) 2^-K wide, whose
+    float is taken when both ends round to it; otherwise the exact
+    _bound_series is rounded.  O(N) small divisions per (f, a) and
+    ascending run of N.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    num, den = _bound_series(f, a, n_terms)
-    return dirichlet_bound(alpha) * (1.0 + 4.0 * math.pi * (num / den))
+    return dirichlet_bound(alpha) * (1.0 + 4.0 * math.pi * bound_profile(f, a).value(n_terms))
 
 
 def eq4_rhs(f: GrowthFunction, p: int, q: int) -> float:

@@ -146,13 +146,20 @@ def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> Sec
     That costs n_theta (B + Q) complex exps and O(n_theta A) multiply-adds,
     with (Q x B) and (B or Q) x n_theta arrays, not an n_theta x (A+1) grid.
 
-    Error: with u = 2^-53, each value differs from sum_{n<=A} a_n r^n
-    e(theta n) (a_n as complex doubles, r and theta as given) by at most
-    about (2(B + Q) + 2 pi A + 20) u sum_{n<=A} |a_n| r^n.  theta k is
-    rounded once (at most u A turns, 2 pi u A radians, over both factors
-    of a term), reduced mod 1 exactly, and exp, powers and products each
-    add a few u; the length-B dot products and the length-Q sum add B u
-    and Q u, doubled for complex arithmetic.
+    Error: with u = 2^-53 and eta = 2^-1074, each value differs from
+    sum_{n<=A} a_n r^n e(theta n) (a_n as complex doubles, r and theta as
+    given) by at most about
+
+        (2(B + Q) + 2 pi A + 20) (u sum_{n<=A} |a_n| r^n + (A + 1) eta).
+
+    theta k is rounded once (at most u A turns, 2 pi u A radians, over
+    both factors of a term), reduced mod 1 exactly, and exp, powers and
+    products each add a few u; the length-B dot products and the length-Q
+    sum add B u and Q u, doubled for complex arithmetic.  The eta term is
+    the standard model's underflow term: a product that rounds into the
+    subnormal range is off by up to eta absolutely, not by u relatively,
+    so a term r^n far below 2^-1022 keeps an error the relative part
+    misses (at r = 2.2e-313 it is 5e-324 while the u term is 0).
     """
     a, _ = c.prefix(n_terms)
     thetas = sector.thetas()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besum.construction import ResourceBudgetError
@@ -223,6 +223,7 @@ class TestCoeffsFile:
 # --- the code array, the blocked sector sum and the detector against their oracles ---
 
 U = 2.0**-53
+ETA = 2.0**-1074  # the smallest subnormal: the absolute error of an underflowing product
 # Alphabets for the random sequences.  The last ones hold hash-equal values
 # (1 and 1+0j, 0 and 0j) that must share a code, as they compare equal.
 ALPHABETS = (
@@ -236,11 +237,12 @@ ALPHABETS = (
 
 
 def _stated_bound(c: CoefficientSequence, r: float, n_terms: int) -> float:
-    """sector_eval's error bound: (2(B + Q) + 2 pi A + 20) u sum_{n<=A} |a_n| r^n."""
+    """sector_eval's error bound: (2(B + Q) + 2 pi A + 20) (u sum_{n<=A} |a_n| r^n + (A + 1) eta)."""
     width = math.isqrt(n_terms) + 1
     rows = -(-(n_terms + 1) // width)
     a, n = c.prefix(n_terms)
-    return (2 * (width + rows) + 2 * math.pi * n_terms + 20) * U * float(np.sum(np.abs(a) * r**n))
+    relative = U * float(np.sum(np.abs(a) * r**n))
+    return (2 * (width + rows) + 2 * math.pi * n_terms + 20) * (relative + (n_terms + 1) * ETA)
 
 
 def _exact_power_sum(c: CoefficientSequence, r: float, theta: float, n_terms: int) -> complex:
@@ -313,23 +315,28 @@ class TestAgainstOracles:
     @settings(max_examples=60, deadline=None)
     @given(
         c=random_sequences(),
-        data=st.data(),
+        n_pick=st.integers(0, 400),
         theta1=st.floats(0, 0.9),
         width=st.floats(0.001, 0.1),
         radii=st.lists(st.floats(0, 0.9999), min_size=1, max_size=3),
         n_theta=st.integers(2, 6),
+        points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5)), min_size=2, max_size=2),
     )
-    def test_blocked_sum_within_the_stated_bound(self, c, data, theta1, width, radii, n_theta):
-        n_terms = data.draw(st.integers(0, len(c) - 1))
+    # A subnormal radius: the error at the middle angle is 5e-324, and the
+    # bound's relative part u sum |a_n| r^n rounds to 0 (only eta covers it).
+    @example(c=CoefficientSequence((0, 2), frozenset({0, 1, 2, 7})), n_pick=1, theta1=0.0,
+             width=0.0625, radii=[2.2250738585e-313], n_theta=3, points=[(0, 1), (0, 2)])
+    def test_blocked_sum_within_the_stated_bound(self, c, n_pick, theta1, width, radii, n_theta,
+                                                 points):
+        n_terms = n_pick % len(c)
         sector = SectorSpec(theta1, theta1 + width, tuple(radii), n_theta)
         grid = sector_eval(c, sector, n_terms)
         bounds = [_stated_bound(c, r, n_terms) for r in radii]
         direct = sector_grid_direct(c, sector, n_terms)
         for i in range(len(radii)):
             assert np.all(np.abs(grid.values[i] - direct[i]) <= 2 * bounds[i] + 1e-300)
-        for _ in range(2):
-            i = data.draw(st.integers(0, len(radii) - 1))
-            t = data.draw(st.integers(0, n_theta - 1))
+        for i, t in points:
+            i, t = i % len(radii), t % n_theta
             exact = _exact_power_sum(c, radii[i], float(grid.thetas[t]), n_terms)
             assert abs(grid.values[i, t] - exact) <= bounds[i]
 
