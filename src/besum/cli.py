@@ -41,7 +41,7 @@ from .construction import (
     sample_e_set,
 )
 from .dimension import condition_ii_check, dimension_lower_estimate, mass_check
-from .expsum import Angle, csv_row, qn_counterexample_sup
+from .expsum import csv_row, qn_counterexample_sup
 from .factoradic import (
     FactoradicReal,
     InsufficientDepthError,
@@ -300,11 +300,10 @@ def sum_cmd(f, alpha, alpha_digits, N, out):
     _stop_if_dry_run()
     rows = []
     if isinstance(value, Fraction):
-        angle = Angle(value)
         rational_profile.cache_clear()  # one profile per invocation, for every N below
         for n in _n_schedule(N):
             _, trace = af_sum_rational(f, value.numerator, value.denominator, n)
-            rows.append(csv_row(angle, trace))
+            rows.append(csv_row(value, trace))
         fields = ["alpha_num", "alpha_den", "N", "re", "im", "modulus", "empirical_sup", "sup_at"]
     else:
         factoradic_profile.cache_clear()  # one profile per invocation, for every N below

@@ -8,9 +8,7 @@ N costs the same head plus one period (`RationalProfile`).  The
 factoradic path evaluates {f(n)! alpha} from the digit prefix and
 carries a rigorous accumulated phase-error bound.
 
-Sums here are indexed by n (term n is e((n + f(n)!) alpha)); an
-element-threshold wrapper converts to the sum over elements <= X via
-monotonicity of n + f(n)!.
+Sums here are indexed by n (term n is e((n + f(n)!) alpha)).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .expsum import Angle, AngleLike, RootSums, SumTrace, dirichlet_bound, e
+from .expsum import RootSums, SumTrace, dirichlet_bound, e
 from .factoradic import (
     FactoradicReal,
     InsufficientDepthError,
@@ -36,6 +34,11 @@ from .factoradic import (
 )
 
 DEFAULT_BIT_BUDGET = 10**7
+# Largest denominator a RationalProfile accepts.  Building one peaks at
+# about 76 bytes a term over its H + q < 2q terms (the head list, then the
+# residue, root, sum and modulus arrays), so q = 10^7 takes up to 1.5 GB,
+# and for f = identity at a prime q the head alone is q - 1 Python steps.
+RATIONAL_MAX_Q = 10**7
 
 # Rational upper bound for Euler's e, for rigorous inequality checks.
 E_UPPER = Fraction(271828182846, 10**11)
@@ -55,30 +58,16 @@ class GrowthFunction:
     def __call__(self, n: int) -> int:
         return self.fn(n)
 
-    def check_monotone(self, n_max: int) -> None:
-        prev = self(1)
-        if prev < 1:
-            raise ValueError(f"{self.name}: f(1) = {prev} < 1")
-        for n in range(2, n_max + 1):
-            cur = self(n)
-            if cur <= prev:
-                raise ValueError(f"{self.name}: not strictly increasing at n={n}")
-            prev = cur
-
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Positive integer weights a_n with a declared finite sum of reciprocals."""
+    """Positive integer weights a_n with a finite sum of reciprocals."""
 
     name: str
     fn: Callable[[int], int]
-    reciprocal_limit_bound: float  # declared upper bound for sum 1/a_n
 
     def __call__(self, n: int) -> int:
         return self.fn(n)
-
-    def partial_sum_reciprocals(self, n_max: int) -> Fraction:
-        return Fraction(*_reciprocal_sum(self, 1, n_max + 1))
 
 
 GROWTH_REGISTRY: dict[str, GrowthFunction] = {
@@ -89,9 +78,9 @@ GROWTH_REGISTRY: dict[str, GrowthFunction] = {
 }
 
 WEIGHT_REGISTRY: dict[str, WeightSequence] = {
-    "n2": WeightSequence("n2", lambda n: n * n, math.pi**2 / 6),
-    "pow2": WeightSequence("pow2", lambda n: 2**n, 1.0),
-    "nfact": WeightSequence("nfact", factorial, math.e - 1.0),
+    "n2": WeightSequence("n2", lambda n: n * n),
+    "pow2": WeightSequence("pow2", lambda n: 2**n),
+    "nfact": WeightSequence("nfact", factorial),
 }
 
 
@@ -150,13 +139,6 @@ class DigitConstraintSet:
         """Allowed digit counts at positions 2..depth, read from a table built once."""
         self._extend_counts(depth)
         return self._counts[: depth - 1]
-
-    def allowed_digit_count(self, m: int) -> int:
-        """Number of allowed digits at position m >= 2 (the 0 digit always is)."""
-        if m < 2:
-            raise ValueError(f"digit positions start at 2, got {m}")
-        self._extend_counts(m)
-        return self._counts[m - 2]
 
     def constrained_positions(self, up_to: int) -> list[int]:
         self._scan(up_to)
@@ -247,29 +229,12 @@ def af_elements(f: GrowthFunction, n_max: int, bit_budget: int = DEFAULT_BIT_BUD
     return [n + fact for n, fact in zip(range(1, n_max + 1), _factorials(f))]
 
 
-def index_for_element_bound(f: GrowthFunction, x: int) -> int:
-    """Largest n with n + f(n)! <= x (0 if none); n + f(n)! is strictly increasing."""
-    for n, fact in enumerate(_factorials(f)):
-        if n + 1 + fact > x:
-            return n
-
-
 def _head_residues(f: GrowthFunction, q: int) -> list[int]:
     """f(n)! mod q for n = 1..H, the n before the first f(n)! = 0 mod q.
 
     H < q because f(n) >= n, so q | f(q)!.
     """
     return list(itertools.takewhile(bool, _factorials(f, q)))
-
-
-def factorial_residues(f: GrowthFunction, q: int, n_max: int) -> list[int]:
-    """f(n)! mod q for n = 1..n_max.
-
-    Once f(n) >= q the residue is 0 and stays 0 (f is increasing), so the
-    costly part touches only the finitely many n with f(n) < q.
-    """
-    head = _head_residues(f, q)[:n_max]
-    return head + [0] * (n_max - len(head))
 
 
 class RationalProfile:
@@ -287,6 +252,11 @@ class RationalProfile:
             raise ValueError("q must be >= 2")
         if p % q == 0:
             raise ValueError(f"p/q = {p}/{q} is an integer")
+        if q > RATIONAL_MAX_Q:  # before the head, which alone may take q - 1 steps
+            raise ResourceBudgetError(
+                f"a profile at denominator q = {q} holds up to 2q terms, over the limit of "
+                f"q <= {RATIONAL_MAX_Q} (construction.RATIONAL_MAX_Q)"
+            )
         head = _head_residues(f, q)
         self.head = len(head)
         self.q = q
@@ -504,7 +474,7 @@ def bound_profile(f: GrowthFunction, a: WeightSequence) -> BoundProfile:
 
 
 def bound_theoretical(
-    f: GrowthFunction, a: WeightSequence, alpha: AngleLike, n_terms: int
+    f: GrowthFunction, a: WeightSequence, alpha: Fraction, n_terms: int
 ) -> float:
     """(2/|e(alpha)-1|) * (1 + 4 pi sum_{n<=N} (1/a_n + e/(f(n)+1))).
 
@@ -530,6 +500,5 @@ def eq4_rhs(f: GrowthFunction, p: int, q: int) -> float:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    alpha = Angle(Fraction(p, q))
     head_sum, _ = af_sum_rational(f, p, q, q - 1)
-    return abs(head_sum) + 2.0 * dirichlet_bound(alpha) + 1.0
+    return abs(head_sum) + 2.0 * dirichlet_bound(Fraction(p, q)) + 1.0

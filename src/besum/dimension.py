@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .construction import DigitConstraintSet, GrowthFunction, membership
-from .factoradic import FactoradicReal, Tail, Trit
+from .construction import DigitConstraintSet, GrowthFunction
 
 
 def count_cylinders(constraints: DigitConstraintSet, depth: int) -> int:
@@ -34,14 +33,6 @@ def count_cylinders(constraints: DigitConstraintSet, depth: int) -> int:
     if depth < 2:
         raise ValueError("depth must be >= 2")
     return math.prod(constraints.allowed_digit_counts(depth))
-
-
-def count_lower_bound(constraints: DigitConstraintSet, depth: int) -> Fraction:
-    """The factorial-quotient lower bound j! / prod_{f(k)+1 <= j} (f(k)+1)."""
-    denom = 1
-    for m in constraints.constrained_positions(depth):
-        denom *= m
-    return Fraction(factorial(depth), denom)
 
 
 def _anchors_in_e_below(counts: list[int], k: int) -> int:
@@ -64,27 +55,6 @@ def _anchors_in_e_below(counts: list[int], k: int) -> int:
             below += digit * completions
         completions *= allowed
     return completions if k else below
-
-
-def cylinder_index(alpha: FactoradicReal, depth: int) -> int:
-    """k with alpha = k/depth!, for a ZERO-tail alpha of depth <= depth."""
-    if alpha.tail is not Tail.ZERO:
-        raise ValueError("cylinder anchors must be exact (ZERO tail)")
-    k = 0
-    for m in range(2, depth + 1):
-        k = k * m + (alpha.digit(m) if m <= alpha.depth else 0)
-    return k
-
-
-def measure_of_cylinder(
-    constraints: DigitConstraintSet, alpha: FactoradicReal, depth: int
-) -> Fraction:
-    """mu of the depth-cylinder (alpha, alpha + 1/depth!), exactly 1/count."""
-    if alpha.depth > depth and any(alpha.digit(m) for m in range(depth + 1, alpha.depth + 1)):
-        raise ValueError(f"alpha has nonzero digits beyond depth {depth}")
-    if not alpha.is_zero() and membership(constraints, alpha) is not Trit.YES:
-        raise ValueError("alpha is not in (E(f,a) u {0})")
-    return Fraction(1, count_cylinders(constraints, depth))
 
 
 @dataclass
@@ -155,11 +125,6 @@ def log_chain_coefficient(constraints: DigitConstraintSet, depth: int, s: float)
     for m in constraints.constrained_positions(depth + 1):  # m = f(j) + 1
         log_coeff += math.log(m)
     return log_coeff
-
-
-def chain_coefficient(constraints: DigitConstraintSet, depth: int, s: float) -> float:
-    """3 (1/i!)^{1-s} prod_{f(j) <= i} (f(j)+1); it underflows to 0.0 at large depth."""
-    return math.exp(log_chain_coefficient(constraints, depth, s))
 
 
 def _log(x: Fraction) -> float:

@@ -1,18 +1,13 @@
 """Partial exponential sums, running supremum traces, and classical bounds.
 
-Angles are measured in turns: e(t) = exp(2*pi*i*t).  Callers are
-responsible for reducing n*alpha mod 1 exactly before terms reach the
-accumulator; reduction is where precision dies for huge n, and only
-construction-aware callers can do it exactly.
-
-Two accumulators.  `SumTrace` adds arbitrary unit terms one at a time in
-float64 with Kahan compensation (sums over finite sets, digit-file
-angles).  `RootSums` holds the partial sums of a finite run of q-th roots
-of unity e(r/q) together with their integer residues r: rational angles
-reduce to such runs, because their sums are periodic (see
-`construction.RationalProfile`).  Its values carry a stated error bound,
-and it settles near-equal moduli exactly, so the reported first index of
-a supremum does not depend on rounding.
+Angles are measured in turns: e(t) = exp(2*pi*i*t), and an angle alpha
+in (0,1) is a Fraction.  `RootSums` holds the partial sums of a finite
+run of q-th roots of unity e(r/q) together with their integer residues
+r: rational angles reduce to such runs, because their sums are periodic
+(see `construction.RationalProfile`).  Its values carry a stated error
+bound, and it settles near-equal moduli exactly, so the reported first
+index of a supremum does not depend on rounding.  `SumTrace` is the
+record a sum is reported in.
 """
 
 from __future__ import annotations
@@ -21,11 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
 
 import numpy as np
-
-from .factoradic import FactoradicReal, Tail, decode
 
 TWO_PI = 2.0 * math.pi
 UNIT_ROUNDOFF = 2.0**-53
@@ -37,63 +29,10 @@ ROOT_ERROR = 32 * UNIT_ROUNDOFF
 # Terms per numpy batch in qn_counterexample_sup.
 _QN_CHUNK = 1 << 16
 
-AngleLike = Union[Fraction, FactoradicReal, "Angle"]
-
 
 def e(t: float) -> complex:
     """exp(2 pi i t) for t in turns."""
     return cmath.exp(complex(0.0, TWO_PI * t))
-
-
-class Angle:
-    """An angle alpha in (0,1), held exactly as a rational or a factoradic value.
-
-    Keeps a float64 rendering for term evaluation; the exact carrier is
-    used whenever a caller needs n*alpha reduced mod 1 without error.
-    """
-
-    def __init__(self, value: AngleLike):
-        if isinstance(value, Angle):
-            value = value.exact
-        if isinstance(value, FactoradicReal):
-            lower, upper = decode(value)
-            if upper <= 0 or lower >= 1 or (lower == 0 and value.tail is Tail.ZERO):
-                raise ValueError("angle must lie in (0,1)")
-            self.exact = value
-            self._float = float(lower)
-            self.rational = lower if value.tail is Tail.ZERO else None
-        else:
-            value = Fraction(value)
-            if not (0 < value < 1):
-                raise ValueError(f"angle {value} outside (0,1)")
-            self.exact = value
-            self._float = float(value)
-            self.rational = value
-
-    def __float__(self) -> float:
-        return self._float
-
-    def times_mod1(self, n: int) -> Fraction:
-        """n*alpha reduced mod 1, exactly (rational angles only)."""
-        if self.rational is None:
-            raise ValueError("exact reduction needs a rational angle")
-        p, q = self.rational.numerator, self.rational.denominator
-        return Fraction(n * p % q, q)
-
-    def phase(self, n: int) -> float:
-        """n*alpha mod 1 in turns: reduced exactly for a rational angle, by fmod otherwise."""
-        if self.rational is not None:
-            return float(self.times_mod1(n))
-        return math.fmod(n * self._float, 1.0)
-
-    def complement(self) -> "Angle":
-        """1 - alpha (rational angles only)."""
-        if self.rational is None:
-            raise ValueError("complement needs a rational angle")
-        return Angle(1 - self.rational)
-
-    def __repr__(self) -> str:
-        return f"Angle({self.exact!r})"
 
 
 @dataclass
@@ -136,9 +75,6 @@ class SumTrace:
         if m > self.sup_modulus:
             self.sup_modulus = m
             self.sup_at = self.count
-
-    def add_turns(self, t: float | Fraction) -> None:
-        self.add_unit(e(float(t)))
 
 
 def roots_at(residues: np.ndarray, q: int) -> np.ndarray:
@@ -266,54 +202,18 @@ class RootSums:
         return square
 
 
-def stream_sum(terms: Iterable[float | Fraction], trace: SumTrace | None = None) -> SumTrace:
-    """Advance a trace by the given terms (angles in turns, already reduced mod 1)."""
-    if trace is None:
-        trace = SumTrace()
-    for t in terms:
-        trace.add_turns(t)
-    return trace
-
-
-def dirichlet_bound(alpha: AngleLike) -> float:
+def dirichlet_bound(alpha: Fraction) -> float:
     """2/|e(alpha)-1| = 1/sin(pi*alpha), the geometric-series bound."""
-    a = float(Angle(alpha))
-    return 1.0 / math.sin(math.pi * a)
+    if not (0 < alpha < 1):
+        raise ValueError(f"angle {alpha} outside (0,1)")
+    return 1.0 / math.sin(math.pi * float(alpha))
 
 
-def full_interval_sum(alpha: AngleLike, n_terms: int) -> complex:
-    """sum_{n<=N} e(n*alpha) by the closed form (e((N+1)a) - e(a)) / (e(a) - 1)."""
-    angle = Angle(alpha)
-    if n_terms < 1:
-        raise ValueError("N must be >= 1")
-    top = e(angle.phase(n_terms + 1)) - e(angle.phase(1))
-    return top / (e(float(angle)) - 1.0)
-
-
-def sum_over_set(elements: Iterable[int], alpha: AngleLike, n_max: int) -> SumTrace:
-    """S_A(alpha, N): sum of e(n*alpha) over elements n <= n_max, with sup trace."""
-    angle = Angle(alpha)
-    trace = SumTrace()
-    for n in elements:
-        if n <= n_max:
-            trace.add_turns(angle.phase(n))
-    return trace
-
-
-def symmetry_check(elements: Iterable[int], alpha: AngleLike, n_max: int) -> tuple[complex, complex]:
-    """(conj S_A(alpha,N), S_A(1-alpha,N)); the two agree for any finite A."""
-    angle = Angle(alpha)
-    elems = [n for n in elements if n <= n_max]
-    lhs = sum_over_set(elems, angle, n_max).partial_sum.conjugate()
-    rhs = sum_over_set(elems, angle.complement(), n_max).partial_sum
-    return lhs, rhs
-
-
-def qn_counterexample_sup(q: int, alpha: AngleLike, n_max: int) -> float:
+def qn_counterexample_sup(q: int, alpha: Fraction, n_max: int) -> float:
     """sup_{N <= n_max} |S_{ {qn} }(alpha, N)|.
 
     Bounded (geometric series) when q*alpha is not an integer; grows like
-    N/q when alpha = p/q, since every term is then e(0) = 1.  For rational
+    N/q when alpha = p/q, since every term is then e(0) = 1.  For
     alpha = a/b the terms e(k * qa/b) repeat with period b/gcd(qa mod b, b)
     and a full period sums to 0, so the sup is exactly n_max // q at
     resonance and otherwise the max over the first period, each of its K
@@ -323,11 +223,10 @@ def qn_counterexample_sup(q: int, alpha: AngleLike, n_max: int) -> float:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    angle = Angle(alpha)
+    if not (0 < alpha < 1):
+        raise ValueError(f"angle {alpha} outside (0,1)")
     terms = n_max // q
-    if angle.rational is None:
-        return sum_over_set(range(q, terms * q + 1, q), angle, n_max).sup_modulus
-    a, b = angle.rational.numerator, angle.rational.denominator
+    a, b = alpha.numerator, alpha.denominator
     step = q * a % b
     if step == 0 or terms < 1:
         return float(max(terms, 0))
@@ -348,17 +247,15 @@ def qn_counterexample_sup(q: int, alpha: AngleLike, n_max: int) -> float:
     return best
 
 
-def csv_row(alpha: Angle, trace: SumTrace) -> dict:
+def csv_row(alpha: Fraction, trace: SumTrace) -> dict:
     """One result row for the CSV interface."""
-    row = {
+    return {
         "N": trace.count,
         "re": trace.re,
         "im": trace.im,
         "modulus": trace.modulus,
         "empirical_sup": trace.sup_modulus,
         "sup_at": trace.sup_at,
+        "alpha_num": alpha.numerator,
+        "alpha_den": alpha.denominator,
     }
-    if alpha.rational is not None:
-        row["alpha_num"] = alpha.rational.numerator
-        row["alpha_den"] = alpha.rational.denominator
-    return row

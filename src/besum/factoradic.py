@@ -85,9 +85,6 @@ class FactoradicReal:
             required_depth=n,
         )
 
-    def is_zero(self) -> bool:
-        return self.tail is Tail.ZERO and not any(self.digits)
-
     @functools.cached_property
     def numerator(self) -> int:
         """X with prefix value X/depth!: Horner over the stored digits."""
@@ -193,13 +190,3 @@ def read_digit_file(fp: TextIO) -> FactoradicReal:
     if len(digits) != depth - 1:
         raise ValueError(f"expected {depth - 1} digits for depth {depth}, got {len(digits)}")
     return FactoradicReal(digits, tail)  # digit range re-checked by the constructor
-
-
-def from_digit_map(positions: dict[int, int], depth: int, tail: Tail = Tail.ZERO) -> FactoradicReal:
-    """Build a value from a sparse position -> digit map (missing digits are 0)."""
-    digits = [0] * (depth - 1)
-    for n, s in positions.items():
-        if not (2 <= n <= depth):
-            raise ValueError(f"position {n} outside 2..{depth}")
-        digits[n - 2] = s
-    return FactoradicReal(tuple(digits), tail)

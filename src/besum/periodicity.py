@@ -5,8 +5,7 @@ that stays bounded on a disk sector has ultimately periodic coefficients,
 and boundedness at the rational angles forces the periodic block to be
 constant (otherwise u has a pole at a nontrivial root of unity).  This
 module implements the computable side of that story: sector evaluation,
-the Abel-summation bound, period detection on finite prefixes, and the
-root-of-unity collapse test.
+period detection on finite prefixes, and the root-of-unity collapse test.
 
 A sequence is held once as values and once as a small-integer code
 array (`CoefficientSequence.codes`).  Period detection and the collapse
@@ -18,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .construction import ResourceBudgetError
-from .expsum import Angle, AngleLike
 
 # Longest coefficient file read_coeffs_file accepts: the values tuple costs
 # 8 bytes a term, so 10^7 terms take about 90 MB with the code array.
@@ -53,7 +50,6 @@ class CoefficientSequence:
     alphabet: frozenset = field(default=None)  # type: ignore[assignment]
     codes: np.ndarray = field(init=False, repr=False, compare=False)
     symbols: np.ndarray = field(init=False, repr=False, compare=False)
-    _exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values or self.values[0] != 0:
@@ -70,14 +66,9 @@ class CoefficientSequence:
             raise ValueError(f"values outside the declared alphabet: {sorted(map(str, bad))}") from None
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "symbols", np.array([_as_complex(v) for v in order]))
-        object.__setattr__(self, "_exact", all(isinstance(v, (int, Fraction)) for v in order))
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def is_exact(self) -> bool:
-        """Whether every alphabet symbol is an int or Fraction."""
-        return self._exact
 
     def prefix(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
         """(a_0..a_A as complex numbers, the indices 0..A) for 0 <= A inside the prefix."""
@@ -86,15 +77,6 @@ class CoefficientSequence:
         if n_terms >= len(self):
             raise ValueError(f"A={n_terms} beyond available prefix of length {len(self)}")
         return self.symbols[self.codes[: n_terms + 1]], np.arange(n_terms + 1)
-
-    @classmethod
-    def ultimately_periodic(cls, preperiod: Sequence, block: Sequence, length: int) -> "CoefficientSequence":
-        vals = [0] + list(preperiod)
-        i = 0
-        while len(vals) < length:
-            vals.append(block[i % len(block)])
-            i += 1
-        return cls(tuple(vals[:length]))
 
 
 @dataclass(frozen=True)
@@ -190,25 +172,6 @@ def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> Sec
         max_modulus=float(np.abs(vals[ri, ti])),
         max_at=(sector.r_grid[ri], float(thetas[ti])),
     )
-
-
-def abel_bound_check(
-    c: CoefficientSequence, alpha: AngleLike, r: float, n_terms: int
-) -> tuple[float, float]:
-    """Abel-summation bound: |sum a_n r^n e(n alpha)| against the prefix sup.
-
-    Returns (lhs, rhs) where rhs = max over prefixes M <= A of
-    |sum_{n<=M} a_n e(n alpha)| -- the finite-range stand-in for the
-    true sup, labelled prefix_sup in all reports.  lhs <= rhs always.
-    """
-    if not (0 <= r < 1):
-        raise ValueError("need 0 <= r < 1")
-    a, n = c.prefix(n_terms)
-    t = float(Angle(alpha))
-    unit = a * np.exp(2j * np.pi * t * n)
-    lhs = abs(np.sum(unit * r**n))
-    rhs = float(np.max(np.abs(np.cumsum(unit))))
-    return float(lhs), rhs
 
 
 def detect_ultimate_period(

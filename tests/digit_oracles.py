@@ -1,16 +1,36 @@
 """Exact reference computations that only the tests use.
 
 Each one is a brute-force or textbook form of something the package
-computes another way, so the tests can compare the two.
+computes another way, so the tests can compare the two, or a bound and
+measure from the paper that the package's exact counts supersede
+(`count_lower_bound`, `measure_of_cylinder`), or a value builder
+(`from_digit_map`).
 """
 
 import math
 from fractions import Fraction
 from math import factorial
 
-from besum.construction import E_UPPER, DigitConstraintSet, GrowthFunction, WeightSequence
+from besum.construction import (
+    E_UPPER,
+    DigitConstraintSet,
+    GrowthFunction,
+    WeightSequence,
+    membership,
+)
+from besum.dimension import count_cylinders
 from besum.expsum import e
 from besum.factoradic import FactoradicReal, InsufficientDepthError, Tail, Trit, decode
+
+
+def from_digit_map(positions: dict[int, int], depth: int, tail: Tail = Tail.ZERO) -> FactoradicReal:
+    """Build a value from a sparse position -> digit map (missing digits are 0)."""
+    digits = [0] * (depth - 1)
+    for n, s in positions.items():
+        if not (2 <= n <= depth):
+            raise ValueError(f"position {n} outside 2..{depth}")
+        digits[n - 2] = s
+    return FactoradicReal(tuple(digits), tail)
 
 
 def is_rational_by_digits(f: FactoradicReal) -> Trit:
@@ -39,9 +59,30 @@ def enumerate_cylinder_digits(
     """Brute-force enumeration of allowed digit tuples (test oracle; small depths)."""
     tuples: list[tuple[int, ...]] = [()]
     for m in range(2, depth + 1):
-        hi = constraints.allowed_digit_count(m) - 1
+        cap = constraints.cap_for_position(m)
+        hi = m - 1 if cap is None else min(m - 1, cap)
         tuples = [t + (d,) for t in tuples for d in range(hi + 1)]
     return tuples
+
+
+def count_lower_bound(constraints: DigitConstraintSet, depth: int) -> Fraction:
+    """The factorial-quotient lower bound j! / prod_{f(k)+1 <= j} (f(k)+1)."""
+    denom = 1
+    for m in constraints.constrained_positions(depth):
+        denom *= m
+    return Fraction(factorial(depth), denom)
+
+
+def measure_of_cylinder(
+    constraints: DigitConstraintSet, alpha: FactoradicReal, depth: int
+) -> Fraction:
+    """mu of the depth-cylinder (alpha, alpha + 1/depth!), exactly 1/count."""
+    if alpha.depth > depth and any(alpha.digit(m) for m in range(depth + 1, alpha.depth + 1)):
+        raise ValueError(f"alpha has nonzero digits beyond depth {depth}")
+    is_zero = alpha.tail is Tail.ZERO and not any(alpha.digits)
+    if not is_zero and membership(constraints, alpha) is not Trit.YES:
+        raise ValueError("alpha is not in (E(f,a) u {0})")
+    return Fraction(1, count_cylinders(constraints, depth))
 
 
 def _index_in_e(constraints: DigitConstraintSet, k: int, depth: int) -> bool:

@@ -1,12 +1,26 @@
 """Direct reference computations for besum.periodicity that only the tests use.
 
 Each one is the textbook form of something the package computes another
-way (codes, blocked sums), so the tests can compare the two.
+way (codes, blocked sums), so the tests can compare the two, or builds
+a test sequence (`ultimately_periodic`, `from_indicator`).
 """
+
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from besum.periodicity import CoefficientSequence, SectorSpec
+
+
+def ultimately_periodic(preperiod: Sequence, block: Sequence, length: int) -> CoefficientSequence:
+    """a_0 = 0, then the preperiod, then the block repeated, cut to length values."""
+    vals = [0] + list(preperiod)
+    i = 0
+    while len(vals) < length:
+        vals.append(block[i % len(block)])
+        i += 1
+    return CoefficientSequence(tuple(vals[:length]))
 
 
 def from_indicator(members: set[int], length: int) -> CoefficientSequence:
@@ -22,6 +36,24 @@ def partial_power_sum(c: CoefficientSequence, r: float, theta: float, n_terms: i
     a, n = c.prefix(n_terms)
     z = r * np.exp(2j * np.pi * theta)
     return complex(np.sum(a * z**n))
+
+
+def abel_bound_check(
+    c: CoefficientSequence, alpha: Fraction, r: float, n_terms: int
+) -> tuple[float, float]:
+    """Abel-summation bound: |sum a_n r^n e(n alpha)| against the prefix sup.
+
+    Returns (lhs, rhs) where rhs = max over prefixes M <= A of
+    |sum_{n<=M} a_n e(n alpha)| -- the finite-range stand-in for the
+    true sup.  lhs <= rhs always.
+    """
+    if not (0 <= r < 1):
+        raise ValueError("need 0 <= r < 1")
+    a, n = c.prefix(n_terms)
+    unit = a * np.exp(2j * np.pi * float(alpha) * n)
+    lhs = abs(np.sum(unit * r**n))
+    rhs = float(np.max(np.abs(np.cumsum(unit))))
+    return float(lhs), rhs
 
 
 def sector_grid_direct(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> np.ndarray:

@@ -23,22 +23,18 @@ from besum.construction import (
     get_weights,
     sample_e_set,
 )
-from besum.dimension import (
-    condition_ii_check,
-    count_cylinders,
-    count_lower_bound,
-    dimension_lower_estimate,
-    measure_of_cylinder,
-)
-from besum.expsum import dirichlet_bound, qn_counterexample_sup, symmetry_check
+from besum.dimension import condition_ii_check, count_cylinders, dimension_lower_estimate
+from besum.expsum import qn_counterexample_sup
 from besum.factoradic import FactoradicReal, Tail, decode, encode, frac_factorial
-from besum.periodicity import (
-    CoefficientSequence,
-    detect_ultimate_period,
-    period_collapse_test,
+from besum.periodicity import detect_ultimate_period, period_collapse_test
+from digit_oracles import (
+    count_lower_bound,
+    enumerate_cylinder_digits,
+    measure_of_cylinder,
+    tail_sum_identity,
 )
-from digit_oracles import enumerate_cylinder_digits, tail_sum_identity
-from periodicity_oracles import partial_power_sum
+from periodicity_oracles import partial_power_sum, ultimately_periodic
+from sum_oracles import symmetry_check
 
 F_ID = get_growth("identity")
 F_N2 = get_growth("n2")
@@ -230,13 +226,13 @@ def test_criterion_12_period_collapse():
     for _ in range(1000):
         pre = [rng.randint(0, 1) for _ in range(rng.randint(0, 8))]
         block = [rng.randint(0, 1) for _ in range(rng.randint(1, 8))]
-        c = CoefficientSequence.ultimately_periodic(pre, block, 80)
+        c = ultimately_periodic(pre, block, 80)
         found = detect_ultimate_period(c, 30, 16)
         assert found is not None
         k, q = found
         collapsed = period_collapse_test(c, k, q)
         assert collapsed == (len(set(c.values[k:])) == 1)
-    c = CoefficientSequence.ultimately_periodic([], [1, 0, 0], 30000)
+    c = ultimately_periodic([], [1, 0, 0], 30000)
     moduli = [abs(partial_power_sum(c, r, 1 / 3, 29999)) for r in (0.9, 0.99, 0.999)]
     assert moduli[1] >= 5 * moduli[0]
     assert moduli[2] >= 5 * moduli[1]

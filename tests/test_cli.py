@@ -99,6 +99,19 @@ class TestSumVerb:
             # Built once, then read at the other nine schedule points.
             assert (info.misses, info.hits) == (1, 9)
 
+    @pytest.mark.parametrize("alpha", ["1/10000000000", "1e-30"])
+    def test_huge_denominator_is_a_budget_error(self, runner, alpha):
+        result = runner.invoke(main, ["sum", "--alpha", alpha, "--N", "5"])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "over the limit of q <= 10000000" in result.output
+
+    def test_denominator_limit_is_checked_before_the_head(self, runner, monkeypatch):
+        monkeypatch.setattr("besum.construction.RATIONAL_MAX_Q", 100)
+        monkeypatch.setattr("besum.construction._head_residues", None)  # stepping it would fail
+        result = runner.invoke(main, ["sum", "--f", "identity", "--alpha", "1/101", "--N", "5"])
+        assert result.exit_code == 3, result.output
+
     def test_huge_n(self, runner):
         result = runner.invoke(main, ["sum", "--f", "identity", "--alpha", "500/997",
                                       "--N", str(10**12)])

@@ -5,38 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from besum.expsum import (
-    Angle,
-        dirichlet_bound,
-    e,
-    full_interval_sum,
-    qn_counterexample_sup,
-    stream_sum,
-    sum_over_set,
-    symmetry_check,
-)
-from besum.factoradic import FactoradicReal
+from besum.expsum import dirichlet_bound, e, qn_counterexample_sup
+from sum_oracles import full_interval_sum, stream_sum, sum_over_set, symmetry_check
 
 
 class TestAngle:
     def test_rejects_endpoints(self):
-        with pytest.raises(ValueError):
-            Angle(Fraction(0))
-        with pytest.raises(ValueError):
-            Angle(Fraction(1))
-
-    def test_exact_reduction(self):
-        a = Angle(Fraction(2, 7))
-        assert a.times_mod1(10) == Fraction(6, 7)
-
-    def test_factoradic_angle(self):
-        a = Angle(FactoradicReal((1, 0, 0)))
-        assert float(a) == 0.5
-        assert a.rational == Fraction(1, 2)
-
-    def test_factoradic_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Angle(FactoradicReal((0, 0)))
+        for alpha in (Fraction(0), Fraction(1)):
+            with pytest.raises(ValueError, match="outside"):
+                dirichlet_bound(alpha)
+            with pytest.raises(ValueError, match="outside"):
+                qn_counterexample_sup(3, alpha, 10)
 
 
 class TestDirichletBound:
@@ -66,8 +45,8 @@ class TestFullIntervalSum:
             q = rng.randint(2, 1000)
             p = rng.randint(1, q - 1)
             n = rng.randint(1, 10**4)
-            alpha = Angle(Fraction(p, q))
-            direct = stream_sum(alpha.times_mod1(k) for k in range(1, n + 1))
+            alpha = Fraction(p, q)
+            direct = stream_sum(Fraction(k * p % q, q) for k in range(1, n + 1))
             closed = full_interval_sum(alpha, n)
             assert abs(closed - direct.partial_sum) < 1e-9
 

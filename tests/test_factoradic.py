@@ -15,11 +15,10 @@ from besum.factoradic import (
     decode,
     encode,
     frac_factorial,
-    from_digit_map,
     read_digit_file,
     write_digit_file,
 )
-from digit_oracles import is_rational_by_digits, tail_sum_identity
+from digit_oracles import from_digit_map, is_rational_by_digits, tail_sum_identity
 
 
 class TestEncode:

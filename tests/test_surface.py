@@ -1,0 +1,79 @@
+"""The package holds what the CLI runs: no public name in src/besum is used only by tests.
+
+Every public top-level function and class, and every public method of a
+top-level class, must be referenced somewhere in src/besum outside its
+own definition.  The CLI verbs (`@verb` functions) are exempt, since
+click calls them.  Test oracles belong in tests/.
+"""
+
+import ast
+from pathlib import Path
+
+import besum
+
+SOURCES = sorted(Path(besum.__file__).parent.glob("*.py"))
+
+# Public names kept although nothing in the package calls them, each with its reason.
+ALLOWED = {
+    "SumTrace.add_unit": "the benchmark's tracer test reads it (bench/test_benchmark.py)",
+    "write_coeffs_file": "the writer of the format read_coeffs_file reads",
+    "bound_series_sum": "the exact reference the bound tests compare against",
+}
+
+
+def _is_verb(node: ast.AST) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "verb"
+               for d in getattr(node, "decorator_list", ()))
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, node) for each public top-level def, class and method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if not _is_verb(node):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Names and attribute names used in tree, outside the subtree skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_name_is_used_inside_the_package():
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    unused = []
+    for path, tree in trees.items():
+        for qualified, name, node in _definitions(tree):
+            used = any(name in _references(other, node) for other in trees.values())
+            if not used and qualified not in ALLOWED:
+                unused.append(f"{path.name}: {qualified}")
+    assert not unused, f"public names only tests use (move them to tests/): {unused}"
+
+
+def test_every_allowed_name_still_exists_and_is_unused():
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    defined = {}
+    for tree in trees:
+        for qualified, name, node in _definitions(tree):
+            defined[qualified] = (name, node)
+    for qualified in ALLOWED:
+        assert qualified in defined, f"{qualified} is allowed but no longer defined"
+        name, node = defined[qualified]
+        assert not any(name in _references(tree, node) for tree in trees), (
+            f"{qualified} is used inside the package now; drop it from ALLOWED")
