@@ -5,8 +5,8 @@ exactly with modular arithmetic (f(n)! mod q vanishes once f(n) >= q,
 so only finitely many factorial residues are ever needed and f(n)! is
 never materialized); past them the partial sums are periodic, so every
 N costs the same head plus one period (`RationalProfile`).  The
-factoradic path evaluates {f(n)! alpha} from the digit prefix and
-carries a rigorous accumulated phase-error bound.
+factoradic path steps each phase as an integer mod depth! from the digit
+prefix and carries a rigorous accumulated phase-error bound.
 
 Sums here are indexed by n (term n is e((n + f(n)!) alpha)).
 """
@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lgamma
+from math import factorial, lgamma, perm
 from typing import Callable, Iterator
 
 import numpy as np
@@ -35,9 +35,9 @@ from .factoradic import (
 
 DEFAULT_BIT_BUDGET = 10**7
 # Largest denominator a RationalProfile accepts.  Building one peaks at
-# about 76 bytes a term over its H + q < 2q terms (the head list, then the
-# residue, root, sum and modulus arrays), so q = 10^7 takes up to 1.5 GB,
-# and for f = identity at a prime q the head alone is q - 1 Python steps.
+# about 44 bytes a term over its H + q < 2q terms (the residue, root, sum
+# and modulus arrays), so q = 10^7 takes up to 0.9 GB, and for
+# f = identity at a prime q the head alone is q - 1 Python steps.
 RATIONAL_MAX_Q = 10**7
 
 # Rational upper bound for Euler's e, for rigorous inequality checks.
@@ -229,12 +229,12 @@ def af_elements(f: GrowthFunction, n_max: int, bit_budget: int = DEFAULT_BIT_BUD
     return [n + fact for n, fact in zip(range(1, n_max + 1), _factorials(f))]
 
 
-def _head_residues(f: GrowthFunction, q: int) -> list[int]:
+def _head_residues(f: GrowthFunction, q: int) -> np.ndarray:
     """f(n)! mod q for n = 1..H, the n before the first f(n)! = 0 mod q.
 
     H < q because f(n) >= n, so q | f(q)!.
     """
-    return list(itertools.takewhile(bool, _factorials(f, q)))
+    return np.fromiter(itertools.takewhile(bool, _factorials(f, q)), dtype=np.int64)
 
 
 class RationalProfile:
@@ -260,9 +260,11 @@ class RationalProfile:
         head = _head_residues(f, q)
         self.head = len(head)
         self.q = q
-        n = np.arange(1, self.head + q + 1, dtype=np.int64)
-        shift = np.array(head + [0] * q, dtype=np.int64)
-        self.sums = RootSums((n + shift) * (p % q) % q, q)
+        residues = np.arange(1, self.head + q + 1, dtype=np.int64)
+        residues[:self.head] += head
+        residues *= p % q
+        residues %= q
+        self.sums = RootSums(residues, q)
 
     def window(self, n: int) -> int:
         if n <= len(self.sums):
@@ -325,10 +327,12 @@ def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> tuple[co
 class FactoradicProfile:
     """S(N) = sum_{n<=N} e((n + f(n)!) alpha) for every N, alpha given by its digits.
 
-    Term n has phase r/D with D = depth!, r = (n X + v D/den) mod D, X/D
-    the prefix (alpha.numerator) and v/den = {f(n)! alpha} from
-    frac_factorial; r/D is rounded once.  The partial sums, and for an
-    UNKNOWN tail the sums of f(n)! (f(N) < depth), grow on demand.
+    Term n has phase r/D, D = depth!, r = (n X + f(n)! X) mod D, X/D the
+    prefix (alpha.numerator), rounded once.  n X steps by X; f(n)! X mod D
+    by the block product perm(v, v - v_prev), v = min(f(n), depth), from
+    term 1's frac_factorial, so no factor past depth is formed.  An UNKNOWN
+    tail (f(N) + 1 < depth) keeps f(n)! exact from the same blocks.  The
+    partial sums grow on demand.
     """
 
     def __init__(self, f: GrowthFunction, alpha: FactoradicReal):
@@ -337,22 +341,39 @@ class FactoradicProfile:
         self.depth_fact = factorial(alpha.depth)
         self.sums = [complex(0.0)]  # S(0), S(1), ...
         self.fact_sums = [0]
+        self._state = None  # (v, G, n X, f(n)!) of the last n
 
     def value(self, n_terms: int) -> tuple[complex, float]:
         """(S(N), 2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth!, 0 for a ZERO tail)."""
-        x, d = self.alpha.numerator, self.depth_fact
+        depth, d = self.alpha.depth, self.depth_fact
         unknown = self.alpha.tail is Tail.UNKNOWN
-        for n in range(len(self.sums), n_terms + 1):
-            m = self.f(n)
-            v, _ = frac_factorial(m, self.alpha)
-            r = (n * x + v.numerator * (d // v.denominator)) % d
-            self.sums.append(self.sums[-1] + e(r / d))
+        needed = self.f(n_terms) + 1
+        if unknown and depth <= needed:
+            raise InsufficientDepthError(
+                f"N={n_terms} needs digits through position {needed}, have depth {depth}",
+                required_depth=needed + 1,
+            )
+        if self._state is None:  # term 1: its block is perm(v, 0) = 1
+            m = self.f(1)
+            g = int(frac_factorial(m, self.alpha)[0] * d)
+            self._state = (min(m, depth), g, 0, factorial(m) if unknown else 0)
+        v_prev, g, nx, fact = self._state
+        x, sums, fact_sums = self.alpha.numerator, self.sums, self.fact_sums
+        for n in range(len(sums), n_terms + 1):
+            v = min(self.f(n), depth)
+            block = perm(v, v - v_prev)
+            g = g * block % d
+            nx = (nx + x) % d
+            sums.append(sums[-1] + e((nx + g) % d / d))
             if unknown:
-                self.fact_sums.append(self.fact_sums[-1] + factorial(m))
+                fact *= block
+                fact_sums.append(fact_sums[-1] + fact)
+            v_prev = v
+        self._state = (v_prev, g, nx, fact)
         if not unknown:
-            return self.sums[n_terms], 0.0
-        budget = n_terms * (n_terms + 1) // 2 + self.fact_sums[n_terms]
-        return self.sums[n_terms], 2.0 * math.pi * (budget / d)
+            return sums[n_terms], 0.0
+        budget = n_terms * (n_terms + 1) // 2 + fact_sums[n_terms]
+        return sums[n_terms], 2.0 * math.pi * (budget / d)
 
 
 @functools.lru_cache(maxsize=8)
@@ -378,12 +399,6 @@ def af_sum_factoradic(
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    needed = f(n_terms) + 1
-    if alpha.tail is Tail.UNKNOWN and alpha.depth <= needed:
-        raise InsufficientDepthError(
-            f"N={n_terms} needs digits through position {needed}, have depth {alpha.depth}",
-            required_depth=needed + 1,
-        )
     return factoradic_profile(f, alpha).value(n_terms)
 
 

@@ -77,7 +77,7 @@ def test_congruence_oracle():
     # (n + f(n)!) mod q = n mod q once f(n) >= q, against big integers.
     for q in range(2, 21):
         head = _head_residues(F_N2, q)
-        residues = head + [0] * (30 - len(head))
+        residues = list(head) + [0] * (30 - len(head))
         for n in range(1, 31):
             exact = (n + factorial(F_N2(n))) % q
             assert (n + residues[n - 1]) % q == exact

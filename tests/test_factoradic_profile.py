@@ -1,17 +1,21 @@
 """The batched factoradic path against the term-by-term references.
 
-`frac_factorial` reads {m! alpha} from X mod (depth!/m!), and
-`af_sum_factoradic` sums every phase as one integer mod depth!; the
-references in digit_oracles walk the digits by Horner and add Fractions
-term by term.  The results must agree exactly, not within a tolerance:
-both round the same rationals once each, in the same order.
+`af_sum_factoradic` steps every phase as one integer mod depth!: n X by
+adding X, and f(n)! X by block products of the factors below depth,
+starting from term 1's {f(1)! alpha}, which `frac_factorial` reads from
+X mod (depth!/f(1)!).  The references in digit_oracles walk the digits
+by Horner and add Fractions term by term.  The results must agree
+exactly, not within a tolerance: both round the same rationals once
+each, in the same order.
 """
 
+import random
 import time
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besum.cli import main
@@ -24,7 +28,13 @@ from besum.construction import (
     get_weights,
     sample_e_set,
 )
-from besum.factoradic import FactoradicReal, Tail, frac_factorial, write_digit_file
+from besum.factoradic import (
+    FactoradicReal,
+    InsufficientDepthError,
+    Tail,
+    frac_factorial,
+    write_digit_file,
+)
 from digit_oracles import af_sums_by_terms, bound_series_by_terms, frac_factorial_by_digits
 
 GROWTH = ["identity", "n2", "n3", "pow2"]
@@ -50,16 +60,35 @@ def allowed_n(f, alpha: FactoradicReal) -> int:
     return n if alpha.tail is Tail.UNKNOWN else n + 3
 
 
-@given(f_name=st.sampled_from(GROWTH), alpha=digit_values(), data=st.data())
+def digits_upto(depth: int) -> tuple[int, ...]:
+    return tuple(n // 2 for n in range(2, depth + 1))
+
+
+@given(f_name=st.sampled_from(GROWTH), alpha=digit_values(), rng=st.randoms())
+# f(1) = 2 >= depth: every phase is n alpha.
+@example(f_name="pow2", alpha=FactoradicReal((1,), Tail.ZERO), rng=random.Random(0))
+# One step from below depth 20 to past it: 16 -> 32 and 8 -> 27.
+@example(f_name="pow2", alpha=FactoradicReal(digits_upto(20), Tail.ZERO), rng=random.Random(0))
+@example(f_name="n3", alpha=FactoradicReal(digits_upto(20), Tail.ZERO), rng=random.Random(0))
+# UNKNOWN tail read at its deepest N: f(5) + 1 = 26 = depth - 1.
+@example(f_name="n2", alpha=FactoradicReal(digits_upto(27), Tail.UNKNOWN), rng=random.Random(0))
 @settings(max_examples=60, deadline=None)
-def test_sums_and_phase_errors_equal_the_reference(f_name, alpha, data):
+def test_sums_and_phase_errors_equal_the_reference(f_name, alpha, rng):
     f = get_growth(f_name)
     n_max = allowed_n(f, alpha)
     want = af_sums_by_terms(f, alpha, n_max)
     factoradic_profile.cache_clear()
-    # Any order of N: the profile extends its partial sums only when asked for more.
-    for n in data.draw(st.permutations(range(1, n_max + 1))):
-        assert af_sum_factoradic(f, alpha, n) == want[n - 1], n
+    # Any order of N: the profile extends its partial sums only when asked for more,
+    # and reads frac_factorial for term 1 only.
+    order = list(range(1, n_max + 1))
+    rng.shuffle(order)
+    with mock.patch("besum.construction.frac_factorial", wraps=frac_factorial) as spy:
+        for n in order:
+            assert af_sum_factoradic(f, alpha, n) == want[n - 1], n
+    assert spy.call_count == min(n_max, 1)
+    if alpha.tail is Tail.UNKNOWN:
+        with pytest.raises(InsufficientDepthError):
+            af_sum_factoradic(f, alpha, n_max + 1)
     top = alpha.depth - 1 if alpha.tail is Tail.UNKNOWN else alpha.depth + 2
     for m in range(1, top + 1):
         assert frac_factorial(m, alpha) == frac_factorial_by_digits(m, alpha), m
@@ -77,7 +106,9 @@ def test_depth_1200_sample_matches_the_reference():
     f = get_growth("n2")
     alpha = sample_e_set(DigitConstraintSet(f, get_weights("n2")), 1200, 17)
     factoradic_profile.cache_clear()
-    assert af_sum_factoradic(f, alpha, 34) == af_sums_by_terms(f, alpha, 34)[-1]
+    want = af_sums_by_terms(f, alpha, 34)
+    for n in range(1, 35):
+        assert af_sum_factoradic(f, alpha, n) == want[n - 1], n
 
 
 def _digit_file(tmp_path, alpha: FactoradicReal):

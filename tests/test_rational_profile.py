@@ -8,6 +8,7 @@ polynomial.
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -183,6 +184,22 @@ def test_sup_at_is_the_first_exact_maximum():
 def test_integer_angle_rejected():
     with pytest.raises(ValueError):
         RationalProfile(get_growth("n2"), 3, 3)
+
+
+def test_building_a_profile_peaks_near_what_it_keeps():
+    # identity at a prime q: H = q - 1, about 2q terms.  The profile keeps residues, sums,
+    # moduli and their running max, 40 bytes a term; a Python list of the H + q shifts
+    # raised the peak to 76.
+    q = 100003
+    tracemalloc.start()
+    try:
+        profile = RationalProfile(get_growth("identity"), 1, q)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    terms = profile.head + q
+    assert kept <= 41 * terms
+    assert peak <= 48 * terms
 
 
 @pytest.mark.parametrize("f_name, q, n_max", [("identity", 19, 100), ("n2", 137, 10**9),
