@@ -101,14 +101,14 @@ def get_weights(name: str) -> WeightSequence:
 class DigitConstraintSet:
     """E(f,a): factoradic digit at position f(i)+1 is capped at (f(i)+1)/a_i.
 
-    Digits are integers, so the cap is floor((f(i)+1)/a_i); unconstrained
-    positions allow the full range 0..m-1.
+    Digits are integers, so the cap is floor((f(i)+1)/a_i).  Every reader
+    of which digits E(f,a) allows goes through `allowed_digit_counts`.
     """
 
     def __init__(self, f: GrowthFunction, a: WeightSequence):
         self.f = f
         self.a = a
-        self._caps: dict[int, int] = {}  # position -> cap
+        self._caps: dict[int, int] = {}  # position -> cap, positions increasing
         self._scanned_to = 0  # largest i folded into _caps
         self._counts: list[int] = []  # allowed digit count at position m, at index m - 2
 
@@ -119,7 +119,7 @@ class DigitConstraintSet:
             m = self.f(i) + 1
             if m > position:
                 break
-            self._caps[m] = (self.f(i) + 1) // self.a(i)
+            self._caps[m] = m // self.a(i)
             self._scanned_to = i
 
     def cap_for_position(self, m: int) -> int | None:
@@ -127,18 +127,20 @@ class DigitConstraintSet:
         self._scan(m)
         return self._caps.get(m)
 
-    def _extend_counts(self, depth: int) -> None:
-        counts = self._counts
-        if len(counts) < depth - 1:
-            self._scan(depth)
-            for m in range(len(counts) + 2, depth + 1):
-                cap = self._caps.get(m)
-                counts.append(m if cap is None else min(m - 1, cap) + 1)
-
     def allowed_digit_counts(self, depth: int) -> list[int]:
-        """Allowed digit counts at positions 2..depth, read from a table built once."""
-        self._extend_counts(depth)
-        return self._counts[: depth - 1]
+        """Allowed digit counts at positions 2..depth, from a table built once:
+        m at an unconstrained position m, min(m - 1, cap) + 1 at a capped one."""
+        counts = self._counts
+        start = len(counts) + 2
+        if start <= depth:
+            counts.extend(range(start, depth + 1))
+            self._scan(depth)
+            for m in reversed(self._caps):  # the new constrained positions, deepest first
+                if m < start:
+                    break
+                if m <= depth:
+                    counts[m - 2] = min(m - 1, self.cap_for_position(m)) + 1
+        return counts[: depth - 1]
 
     def constrained_positions(self, up_to: int) -> list[int]:
         self._scan(up_to)
@@ -148,48 +150,35 @@ class DigitConstraintSet:
 def membership(constraints: DigitConstraintSet, alpha: FactoradicReal) -> Trit:
     """Is alpha in E(f,a)?  Decided from the known digits only.
 
-    A ZERO tail settles the question (later digits are 0, always allowed);
-    an UNKNOWN tail can only certify violation.
+    NO when a stored digit is over its allowed count; otherwise a ZERO
+    tail settles the question (later digits are 0, always allowed) and an
+    UNKNOWN tail leaves it open.
     """
-    for m in range(2, alpha.depth + 1):
-        cap = constraints.cap_for_position(m)
-        if cap is not None and alpha.digit(m) > cap:
-            return Trit.NO
-    if alpha.tail is Tail.ZERO:
-        return Trit.YES
-    return Trit.UNKNOWN
+    counts = constraints.allowed_digit_counts(alpha.depth)
+    if any(s >= c for s, c in zip(alpha.digits, counts)):
+        return Trit.NO
+    return Trit.YES if alpha.tail is Tail.ZERO else Trit.UNKNOWN
 
 
-def sample_e_set(
-    constraints: DigitConstraintSet,
-    depth: int,
-    seed: int,
-    zero_entropy: bool = False,
-) -> FactoradicReal:
+def sample_e_set(constraints: DigitConstraintSet, depth: int, seed: int) -> FactoradicReal:
     """Deterministically sample a depth-truncated member of E(f,a).
 
-    Digits are uniform over the allowed range at each position, tail ZERO
-    (a rational representative of its cylinder, so membership is `in`).
-    The all-zero draw is alpha = 0, outside (0,1), and is resampled;
-    zero_entropy forces unconstrained digits to 0 (test hook for the
-    degenerate-case policy).
+    Each digit is uniform over its allowed range, tail ZERO (a rational
+    representative of its cylinder, so membership is `in`).  The all-zero
+    draw is alpha = 0, outside (0,1), and is resampled; when every digit
+    through depth is capped at 0 it is the only draw, a ValueError.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    counts = constraints.allowed_digit_counts(depth)
+    if max(counts) == 1:
+        raise ValueError(f"every digit through depth {depth} is capped at 0, so the only "
+                         "sample is alpha = 0, outside (0,1)")
     rng = random.Random(seed)
     while True:
-        digits = []
-        for m in range(2, depth + 1):
-            cap = constraints.cap_for_position(m)
-            if cap is None:
-                digits.append(0 if zero_entropy else rng.randint(0, m - 1))
-            else:
-                digits.append(rng.randint(0, min(m - 1, cap)))
+        digits = tuple(map(rng.randrange, counts))
         if any(digits):
-            return FactoradicReal(tuple(digits), Tail.ZERO)
-        if zero_entropy:
-            # All caps zero and no entropy: resampling cannot escape alpha = 0.
-            raise ValueError("zero-entropy sample is the excluded boundary point alpha = 0")
+            return FactoradicReal(digits, Tail.ZERO)
 
 
 def check_bit_budget(f: GrowthFunction, n: int, bit_budget: int) -> None:
@@ -294,14 +283,14 @@ class RationalProfile:
         return float(top)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def rational_profile(f: GrowthFunction, p: int, q: int) -> RationalProfile:
-    """The RationalProfile of (f, p, q), kept for the next few calls.
+    """The RationalProfile of (f, p, q), kept until another angle is read.
 
-    A verb asks for one angle at many N (the `sum` schedule) or twice in a
-    row (`sup-sweep`'s sum and bound), and each call reads the same profile.
-    The `sum` and `sup-sweep` verbs clear the cache when they start, so no
-    profile outlives the invocation that built it.
+    A verb reads one angle at many N (the `sum` schedule) or three times in
+    a row (`sup-sweep`), then moves on, so a profile of up to 2q terms is
+    freed once the next angle is read.  The `sum` and `sup-sweep` verbs
+    clear the cache when they start: no profile outlives its invocation.
     """
     return RationalProfile(f, p, q)
 
@@ -376,9 +365,9 @@ class FactoradicProfile:
         return sums[n_terms], 2.0 * math.pi * (budget / d)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def factoradic_profile(f: GrowthFunction, alpha: FactoradicReal) -> FactoradicProfile:
-    """The FactoradicProfile of (f, alpha), kept for the next few calls.
+    """The FactoradicProfile of (f, alpha), kept until another angle is read.
 
     The `sum` verb reads one angle at many N and clears the cache when it
     starts, as with rational_profile.
@@ -478,9 +467,9 @@ class BoundProfile:
         return num / den
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def bound_profile(f: GrowthFunction, a: WeightSequence) -> BoundProfile:
-    """The BoundProfile of (f, a), kept for the next few calls.
+    """The BoundProfile of (f, a), kept until another (f, a) is read.
 
     The `bound` verb reads one (f, a) at many N and clears the cache when it
     starts, as with rational_profile.

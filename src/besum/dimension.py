@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import factorial
 
 from .construction import DigitConstraintSet, GrowthFunction
+from .factoradic import FactoradicReal
 
 
 def count_cylinders(constraints: DigitConstraintSet, depth: int) -> int:
@@ -132,6 +133,9 @@ def _log(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+# Intervals B that mass_check draws at each depth.
+INTERVALS_PER_DEPTH = 20
+
 # a_constant must be a normal float: log of the smallest and largest.
 _LOG_FLOAT_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
@@ -141,7 +145,6 @@ def mass_check(
     s: float,
     i0: int,
     i_max: int,
-    intervals_per_depth: int = 20,
     seed: int = 0,
 ) -> MassCheckReport:
     """Test mu(B) <= a |B|^s on random and cylinder-aligned intervals.
@@ -179,12 +182,10 @@ def mass_check(
         # Mass-carrying anchors: the zero cylinder and a random in-E anchor,
         # so sparse constraint sets still contribute to the empirical constant.
         candidates.append((Fraction(0), rho_i))
-        k_in = 0
-        for m, allowed in enumerate(constraints.allowed_digit_counts(i + 1), start=2):
-            k_in = k_in * m + rng.randint(0, allowed - 1)
-        e_anchor = Fraction(k_in, m_fact)
+        digits = tuple(map(rng.randrange, constraints.allowed_digit_counts(i + 1)))
+        e_anchor = Fraction(FactoradicReal(digits).numerator, m_fact)
         candidates.append((e_anchor, e_anchor + rho_i))
-        while len(candidates) < intervals_per_depth:
+        while len(candidates) < INTERVALS_PER_DEPTH:
             width = rho_next + (rho_i - rho_next) * Fraction(rng.randrange(1, 1000), 1000)
             lo = Fraction(rng.randrange(10**6), 10**6) * (1 - width)
             candidates.append((lo, lo + width))

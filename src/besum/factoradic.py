@@ -70,21 +70,6 @@ class FactoradicReal:
     def depth(self) -> int:
         return len(self.digits) + 1
 
-    def digit(self, n: int) -> int:
-        """Digit at position n >= 1; beyond depth only a ZERO tail answers."""
-        if n < 1:
-            raise ValueError("positions start at 1")
-        if n == 1:
-            return 0
-        if n <= self.depth:
-            return self.digits[n - 2]
-        if self.tail is Tail.ZERO:
-            return 0
-        raise InsufficientDepthError(
-            f"digit at position {n} unknown beyond depth {self.depth}",
-            required_depth=n,
-        )
-
     @functools.cached_property
     def numerator(self) -> int:
         """X with prefix value X/depth!: Horner over the stored digits."""
@@ -95,27 +80,24 @@ class FactoradicReal:
 
 
 def encode(x: Fraction | int, depth: int = DEFAULT_DEPTH) -> FactoradicReal:
-    """Greedy digit extraction of an exact rational in [0,1).
+    """Digits of an exact rational x in [0,1) through position depth.
 
-    The remainder after position n is n!-scaled back into [0,1); greedy
-    extraction on an exact rational terminates with remainder zero rather
-    than emitting the forbidden all-max tail, so a ZERO tail here always
-    denotes the exact value.
+    X = floor(x depth!) gives x = X/depth! + r/depth! with 0 <= r < 1, so
+    the digits are X's mixed-radix digits (radices depth, depth - 1, ...,
+    2), as FactoradicReal.numerator reads them back.  The tail is ZERO,
+    and the value exact, iff r = 0; the all-max tail never appears.
     """
     x = Fraction(x)
     if not (0 <= x < 1):
         raise ValueError(f"value {x} outside [0, 1)")
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    num, rest = divmod(x.numerator * factorial(depth), x.denominator)
     digits = []
-    r = x
-    for n in range(2, depth + 1):
-        r *= n
-        s = int(r)  # floor: r >= 0
+    for m in range(depth, 1, -1):
+        num, s = divmod(num, m)
         digits.append(s)
-        r -= s
-    tail = Tail.ZERO if r == 0 else Tail.UNKNOWN
-    return FactoradicReal(tuple(digits), tail)
+    return FactoradicReal(tuple(reversed(digits)), Tail.ZERO if rest == 0 else Tail.UNKNOWN)
 
 
 def decode(f: FactoradicReal) -> tuple[Fraction, Fraction]:

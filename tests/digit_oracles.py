@@ -4,10 +4,13 @@ Each one is a brute-force or textbook form of something the package
 computes another way, so the tests can compare the two, or a bound and
 measure from the paper that the package's exact counts supersede
 (`count_lower_bound`, `measure_of_cylinder`), or a value builder
-(`from_digit_map`).
+(`from_digit_map`).  The `*_by_caps` forms and `encode_greedy` are the
+position-by-position loops that the allowed-digit table and the integer
+X = floor(x depth!) replaced.
 """
 
 import math
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -44,6 +47,39 @@ def is_rational_by_digits(f: FactoradicReal) -> Trit:
     return Trit.UNKNOWN
 
 
+def encode_greedy(x: Fraction, depth: int) -> FactoradicReal:
+    """encode by greedy extraction: the remainder times n, its floor the digit at n."""
+    digits = []
+    r = Fraction(x)
+    for n in range(2, depth + 1):
+        r *= n
+        s = int(r)  # floor: r >= 0
+        digits.append(s)
+        r -= s
+    return FactoradicReal(tuple(digits), Tail.ZERO if r == 0 else Tail.UNKNOWN)
+
+
+def membership_by_caps(constraints: DigitConstraintSet, alpha: FactoradicReal) -> Trit:
+    """membership position by position, each stored digit against its cap."""
+    for m in range(2, alpha.depth + 1):
+        cap = constraints.cap_for_position(m)
+        if cap is not None and alpha.digits[m - 2] > cap:
+            return Trit.NO
+    return Trit.YES if alpha.tail is Tail.ZERO else Trit.UNKNOWN
+
+
+def sample_by_caps(constraints: DigitConstraintSet, depth: int, seed: int) -> FactoradicReal:
+    """sample_e_set position by position: a uniform digit in 0..min(m - 1, cap) at each m."""
+    rng = random.Random(seed)
+    while True:
+        digits = []
+        for m in range(2, depth + 1):
+            cap = constraints.cap_for_position(m)
+            digits.append(rng.randint(0, m - 1 if cap is None else min(m - 1, cap)))
+        if any(digits):
+            return FactoradicReal(tuple(digits), Tail.ZERO)
+
+
 def tail_sum_identity(n_lo: int, n_hi: int) -> tuple[Fraction, Fraction]:
     """Both sides of sum_{n=N+1}^{M} (n-1)/n! = 1/N! - 1/M!, exactly."""
     if not (2 <= n_lo < n_hi):
@@ -77,7 +113,7 @@ def measure_of_cylinder(
     constraints: DigitConstraintSet, alpha: FactoradicReal, depth: int
 ) -> Fraction:
     """mu of the depth-cylinder (alpha, alpha + 1/depth!), exactly 1/count."""
-    if alpha.depth > depth and any(alpha.digit(m) for m in range(depth + 1, alpha.depth + 1)):
+    if any(alpha.digits[depth - 1:]):
         raise ValueError(f"alpha has nonzero digits beyond depth {depth}")
     is_zero = alpha.tail is Tail.ZERO and not any(alpha.digits)
     if not is_zero and membership(constraints, alpha) is not Trit.YES:
@@ -132,7 +168,7 @@ def frac_factorial_by_digits(m: int, f: FactoradicReal) -> tuple[Fraction, Fract
     num = 0
     den = 1
     for i in range(m + 1, f.depth + 1):
-        num = num * i + f.digit(i)
+        num = num * i + f.digits[i - 2]
         den *= i
     value = Fraction(num, den)
     if f.tail is Tail.ZERO:

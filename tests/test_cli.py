@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,6 +99,22 @@ class TestSumVerb:
             info = rational_profile.cache_info()
             # Built once, then read at the other nine schedule points.
             assert (info.misses, info.hits) == (1, 9)
+
+    def test_sup_sweep_reads_each_angle_three_times_in_a_row(self, runner):
+        result = runner.invoke(main, ["sup-sweep", "--qmax", "5", "--N", "50"])
+        assert result.exit_code == 0, result.output
+        info = rational_profile.cache_info()
+        # Nine reduced p/q with q <= 5, each built once, then read for the bound and tail sup.
+        assert (info.misses, info.hits) == (9, 18)
+
+    def test_a_profile_is_freed_when_the_next_angle_is_read(self):
+        f = get_growth("n2")
+        rational_profile.cache_clear()
+        first = weakref.ref(rational_profile(f, 1, 7))
+        rational_profile(f, 1, 7)
+        assert first() is not None
+        rational_profile(f, 2, 7)
+        assert first() is None
 
     @pytest.mark.parametrize("alpha", ["1/10000000000", "1e-30"])
     def test_huge_denominator_is_a_budget_error(self, runner, alpha):

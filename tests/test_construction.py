@@ -2,13 +2,19 @@ import math
 import random
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besum.construction import (
+    GROWTH_REGISTRY,
+    WEIGHT_REGISTRY,
     DigitConstraintSet,
     E_UPPER,
     ResourceBudgetError,
+    WeightSequence,
     _head_residues,
     _reciprocal_sum,
     af_elements,
@@ -31,11 +37,12 @@ from besum.factoradic import (
     decode,
     encode,
 )
-from digit_oracles import from_digit_map
+from digit_oracles import from_digit_map, membership_by_caps, sample_by_caps
 
 F_ID = get_growth("identity")
 F_N2 = get_growth("n2")
 A_N2 = get_weights("n2")
+REGISTRY_PAIRS = [(f, a) for f in GROWTH_REGISTRY for a in WEIGHT_REGISTRY]
 
 
 class TestRegistries:
@@ -223,6 +230,23 @@ class TestDigitConstraints:
         ok_prefix = FactoradicReal((1, 0, 0, 1), Tail.UNKNOWN)
         assert membership(constraints, ok_prefix) is Trit.UNKNOWN
 
+    @pytest.mark.parametrize("f_name,a_name", REGISTRY_PAIRS)
+    @given(depth=st.integers(2, 300), rnd=st.randoms(use_true_random=False),
+           pushed=st.integers(0, 3), tail=st.sampled_from(Tail))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_check_by_caps(self, f_name, a_name, depth, rnd, pushed, tail):
+        f, a = get_growth(f_name), get_weights(a_name)
+        caps = DigitConstraintSet(f, a)
+        digits = [rnd.randrange(m if caps.cap_for_position(m) is None
+                                else min(m - 1, caps.cap_for_position(m)) + 1)
+                  for m in range(2, depth + 1)]
+        # Push some digits anywhere in their range, past their cap or not.
+        for _ in range(pushed):
+            m = rnd.randrange(2, depth + 1)
+            digits[m - 2] = rnd.randrange(m)
+        alpha = FactoradicReal(tuple(digits), tail)
+        assert membership(DigitConstraintSet(f, a), alpha) is membership_by_caps(caps, alpha)
+
 
 class TestSampleE:
     def test_deterministic(self):
@@ -236,16 +260,23 @@ class TestSampleE:
             assert membership(constraints, sample) is Trit.YES
             assert any(sample.digits)
 
-    def test_zero_entropy_degenerate(self):
-        from besum.construction import WeightSequence
-
-        # Caps all zero, zero entropy elsewhere: the only draw is alpha = 0,
-        # which lies outside (0,1) and must be rejected.
+    def test_all_digits_capped_at_zero_raises_before_drawing(self):
+        # identity growth constrains every position and 10**n weights cap each
+        # at 0, so the only draw would be alpha = 0, which lies outside (0,1).
         huge = WeightSequence("huge", lambda n: 10**n)
-        constraints = DigitConstraintSet(F_N2, huge)
-        assert constraints.cap_for_position(5) == 0
-        with pytest.raises(ValueError, match="alpha = 0"):
-            sample_e_set(constraints, 6, 0, zero_entropy=True)
+        constraints = DigitConstraintSet(F_ID, huge)
+        assert constraints.allowed_digit_counts(6) == [1] * 5
+        with mock.patch("random.Random", side_effect=AssertionError("drew a sample")):
+            with pytest.raises(ValueError, match="alpha = 0"):
+                sample_e_set(constraints, 6, 0)
+
+    @pytest.mark.parametrize("f_name,a_name", REGISTRY_PAIRS)
+    @given(depth=st.integers(2, 300), seed=st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_draw_by_caps(self, f_name, a_name, depth, seed):
+        f, a = get_growth(f_name), get_weights(a_name)
+        assert sample_e_set(DigitConstraintSet(f, a), depth, seed) == sample_by_caps(
+            DigitConstraintSet(f, a), depth, seed)
 
 
 def test_eq8_digit_tail_estimate():

@@ -1,10 +1,11 @@
 import io
+import math
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besum.factoradic import (
@@ -18,7 +19,21 @@ from besum.factoradic import (
     read_digit_file,
     write_digit_file,
 )
-from digit_oracles import from_digit_map, is_rational_by_digits, tail_sum_identity
+from digit_oracles import encode_greedy, from_digit_map, is_rational_by_digits, tail_sum_identity
+
+
+@st.composite
+def _rationals_and_depths(draw):
+    """(p/q, depth): depth 2-300; q up to 10^6, a product of distinct factors of depth!, or x = 0."""
+    depth = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["any", "divides depth!", "zero"]))
+    if kind == "zero":
+        return Fraction(0), depth
+    if kind == "any":
+        q = draw(st.integers(1, 10**6))
+    else:
+        q = math.prod(draw(st.sets(st.integers(2, depth), max_size=8)))
+    return Fraction(draw(st.integers(0, q - 1)), q), depth
 
 
 class TestEncode:
@@ -67,6 +82,17 @@ class TestEncode:
         lower, upper = decode(f)
         assert lower == x == upper
 
+    @given(_rationals_and_depths())
+    @example((Fraction(0), 2))
+    @example((Fraction(1, 7), 6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_greedy_loop(self, x_depth):
+        x, depth = x_depth
+        f = encode(x, depth)
+        assert f == encode_greedy(x, depth)
+        if factorial(depth) % x.denominator == 0:
+            assert f.tail is Tail.ZERO
+
 
 class TestDecode:
     def test_exact(self):
@@ -86,12 +112,6 @@ class TestDigitInvariants:
             FactoradicReal((2,))
         with pytest.raises(ValueError):
             FactoradicReal((0, 3))
-
-    def test_unknown_digit_beyond_depth(self):
-        f = FactoradicReal((1, 0), Tail.UNKNOWN)
-        with pytest.raises(InsufficientDepthError):
-            f.digit(5)
-        assert FactoradicReal((1, 0), Tail.ZERO).digit(5) == 0
 
 
 class TestFracFactorial:
@@ -176,6 +196,6 @@ class TestDigitFile:
 
 def test_from_digit_map():
     f = from_digit_map({5: 3}, depth=7)
-    assert f.digit(5) == 3
-    assert f.digit(6) == 0
+    assert f.digits[5 - 2] == 3
+    assert f.digits[6 - 2] == 0
     assert decode(f)[0] == Fraction(3, 120)

@@ -2,7 +2,9 @@
 
 Every public top-level function and class, and every public method of a
 top-level class, must be referenced somewhere in src/besum outside its
-own definition.  The CLI verbs (`@verb` functions) are exempt, since
+own definition: a function or class by name or attribute, a method only
+by attribute (`x.name`), so a local variable of the same name does not
+count.  The CLI verbs (`@verb` functions) are exempt, since
 click calls them.  Test oracles belong in tests/.
 """
 
@@ -27,27 +29,29 @@ def _is_verb(node: ast.AST) -> bool:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, bare name, node) for each public top-level def, class and method."""
+    """(qualified name, bare name, node, is a method) for each public top-level def,
+    class and method."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         if not _is_verb(node):
-            yield node.name, node.name, node
+            yield node.name, node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, item
+                    yield f"{node.name}.{item.name}", item.name, item, True
 
 
-def _references(tree: ast.AST, skip: ast.AST) -> set[str]:
-    """Names and attribute names used in tree, outside the subtree skip."""
+def _references(tree: ast.AST, skip: ast.AST, attributes_only: bool) -> set[str]:
+    """Attribute names, and unless attributes_only bare names, used in tree outside
+    the subtree skip."""
     found = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -59,8 +63,8 @@ def test_every_public_name_is_used_inside_the_package():
     trees = {path: ast.parse(path.read_text()) for path in SOURCES}
     unused = []
     for path, tree in trees.items():
-        for qualified, name, node in _definitions(tree):
-            used = any(name in _references(other, node) for other in trees.values())
+        for qualified, name, node, method in _definitions(tree):
+            used = any(name in _references(other, node, method) for other in trees.values())
             if not used and qualified not in ALLOWED:
                 unused.append(f"{path.name}: {qualified}")
     assert not unused, f"public names only tests use (move them to tests/): {unused}"
@@ -70,10 +74,10 @@ def test_every_allowed_name_still_exists_and_is_unused():
     trees = [ast.parse(path.read_text()) for path in SOURCES]
     defined = {}
     for tree in trees:
-        for qualified, name, node in _definitions(tree):
-            defined[qualified] = (name, node)
+        for qualified, name, node, method in _definitions(tree):
+            defined[qualified] = (name, node, method)
     for qualified in ALLOWED:
         assert qualified in defined, f"{qualified} is allowed but no longer defined"
-        name, node = defined[qualified]
-        assert not any(name in _references(tree, node) for tree in trees), (
+        name, node, method = defined[qualified]
+        assert not any(name in _references(tree, node, method) for tree in trees), (
             f"{qualified} is used inside the package now; drop it from ALLOWED")
