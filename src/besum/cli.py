@@ -25,23 +25,22 @@ from . import __version__
 from .construction import (
     DEFAULT_BIT_BUDGET,
     DigitConstraintSet,
+    RationalProfile,
     ResourceBudgetError,
     af_elements,
     af_sum_factoradic,
     af_sum_rational,
-    bound_profile,
     bound_theoretical,
     check_bit_budget,
     eq4_rhs,
-    factoradic_profile,
     get_growth,
     get_weights,
     membership,
-    rational_profile,
+    profile,
     sample_e_set,
 )
 from .dimension import condition_ii_check, dimension_lower_estimate, mass_check
-from .expsum import csv_row, qn_counterexample_sup
+from .expsum import qn_counterexample_sup
 from .factoradic import (
     FactoradicReal,
     InsufficientDepthError,
@@ -98,6 +97,8 @@ def verb(group: click.Group, name: str):
             except (ValueError, KeyError) as exc:
                 _echo(f"error: {exc}\n", err=True)
                 sys.exit(EXIT_CONFIG)
+            finally:
+                profile.cache_clear()  # whatever the exit, no profile outlives the verb
 
         # Options given to a command are appended, so --dry-run comes last.
         return click.option("--dry-run", is_flag=True)(group.command(name)(run))
@@ -300,13 +301,16 @@ def sum_cmd(f, alpha, alpha_digits, N, out):
     _stop_if_dry_run()
     rows = []
     if isinstance(value, Fraction):
-        rational_profile.cache_clear()  # one profile per invocation, for every N below
+        p, q = value.numerator, value.denominator
         for n in _n_schedule(N):
-            _, trace = af_sum_rational(f, value.numerator, value.denominator, n)
-            rows.append(csv_row(value, trace))
+            _, trace = af_sum_rational(f, p, q, n)
+            rows.append({
+                "alpha_num": p, "alpha_den": q, "N": n, "re": trace.re, "im": trace.im,
+                "modulus": trace.modulus, "empirical_sup": trace.sup_modulus,
+                "sup_at": trace.sup_at,
+            })
         fields = ["alpha_num", "alpha_den", "N", "re", "im", "modulus", "empirical_sup", "sup_at"]
     else:
-        factoradic_profile.cache_clear()  # one profile per invocation, for every N below
         for n in _n_schedule(N):
             total, phase_error = af_sum_factoradic(f, value, n)
             rows.append({
@@ -332,14 +336,13 @@ def sup_sweep(f, qmax, N, out):
     f = get_growth(f)
     _stop_if_dry_run()
     rows = []
-    rational_profile.cache_clear()  # profiles last one invocation
     for q in range(2, qmax + 1):
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
             _, trace = af_sum_rational(f, p, q, N)
             rhs = eq4_rhs(f, p, q)
-            tail_sup = rational_profile(f, p, q).tail_sup(N)
+            tail_sup = profile(RationalProfile, f, p, q).tail_sup(N)
             rows.append({
                 "alpha_num": p, "alpha_den": q, "N": N,
                 "empirical_sup": trace.sup_modulus, "sup_at": trace.sup_at,
@@ -450,7 +453,6 @@ def bound_cmd(f, a, alpha, N, out):
     a = get_weights(a)
     value = _load_alpha(alpha)
     _stop_if_dry_run()
-    bound_profile.cache_clear()  # one profile per invocation, for every N below
     rows = [{"N": n, "bound": bound_theoretical(f, a, value, n)} for n in _n_schedule(N)]
     _emit_csv(out, ["N", "bound"], rows)
 

@@ -6,7 +6,9 @@ so only finitely many factorial residues are ever needed and f(n)! is
 never materialized); past them the partial sums are periodic, so every
 N costs the same head plus one period (`RationalProfile`).  The
 factoradic path steps each phase as an integer mod depth! from the digit
-prefix and carries a rigorous accumulated phase-error bound.
+prefix and carries a rigorous bound on the error from the digits it does
+not know (`phase_error`); the float rounding of the phases and of the
+running sum is not in that bound.
 
 Sums here are indexed by n (term n is e((n + f(n)!) alpha)).
 """
@@ -226,6 +228,17 @@ def _head_residues(f: GrowthFunction, q: int) -> np.ndarray:
     return np.fromiter(itertools.takewhile(bool, _factorials(f, q)), dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=1)
+def profile(kind: type, *key):
+    """kind(*key), kept in one slot until another profile is read.
+
+    A verb reads one profile at many N (the `sum` and `bound` schedules) or
+    several times in a row (`sup-sweep`), so one slot holds every hit;
+    `cli.verb` empties it when the verb ends.
+    """
+    return kind(*key)
+
+
 class RationalProfile:
     """S(N) = sum_{n<=N} e((n + f(n)!) p/q) for every N, from H + q terms.
 
@@ -283,18 +296,6 @@ class RationalProfile:
         return float(top)
 
 
-@functools.lru_cache(maxsize=1)
-def rational_profile(f: GrowthFunction, p: int, q: int) -> RationalProfile:
-    """The RationalProfile of (f, p, q), kept until another angle is read.
-
-    A verb reads one angle at many N (the `sum` schedule) or three times in
-    a row (`sup-sweep`), then moves on, so a profile of up to 2q terms is
-    freed once the next angle is read.  The `sum` and `sup-sweep` verbs
-    clear the cache when they start: no profile outlives its invocation.
-    """
-    return RationalProfile(f, p, q)
-
-
 def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> tuple[complex, SumTrace]:
     """sum_{n<=N} e((n + f(n)!) p/q) and its prefix-sup trace, in O(q) for any N.
 
@@ -307,9 +308,9 @@ def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> tuple[co
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    profile = rational_profile(f, p, q)
-    total = profile.value(n_terms)
-    sup, sup_at = profile.sup(n_terms)
+    rational = profile(RationalProfile, f, p, q)
+    total = rational.value(n_terms)
+    sup, sup_at = rational.sup(n_terms)
     return total, SumTrace(total.real, total.imag, n_terms, sup, sup_at)
 
 
@@ -365,16 +366,6 @@ class FactoradicProfile:
         return sums[n_terms], 2.0 * math.pi * (budget / d)
 
 
-@functools.lru_cache(maxsize=1)
-def factoradic_profile(f: GrowthFunction, alpha: FactoradicReal) -> FactoradicProfile:
-    """The FactoradicProfile of (f, alpha), kept until another angle is read.
-
-    The `sum` verb reads one angle at many N and clears the cache when it
-    starts, as with rational_profile.
-    """
-    return FactoradicProfile(f, alpha)
-
-
 def af_sum_factoradic(
     f: GrowthFunction, alpha: FactoradicReal, n_terms: int
 ) -> tuple[complex, float]:
@@ -382,13 +373,15 @@ def af_sum_factoradic(
 
     Each phase is {n alpha} + {f(n)! alpha}, exact from the digits and
     summed as one integer mod depth! (FactoradicProfile).  phase_error
-    bounds |computed - true sum|: 0 for a ZERO tail; for an UNKNOWN one
-    2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth!, as alpha is within
-    1/depth! of the prefix and {k alpha} moves by at most k/depth!.
+    bounds only the error from the digits past the prefix: 0 for a ZERO
+    tail; for an UNKNOWN one 2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth!, as
+    alpha is within 1/depth! of the prefix and {k alpha} moves by at most
+    k/depth!.  The float rounding of each phase, of e() and of the running
+    sum is not in it, and no bound on it is stated yet (ROADMAP.md, item 3).
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    return factoradic_profile(f, alpha).value(n_terms)
+    return profile(FactoradicProfile, f, alpha).value(n_terms)
 
 
 def _reciprocal_sum(b: Callable[[int], int], lo: int, hi: int) -> tuple[int, int]:
@@ -416,11 +409,6 @@ def _bound_series(f: GrowthFunction, a: WeightSequence, n_terms: int) -> tuple[i
     p2, q2 = _reciprocal_sum(lambda n: f(n) + 1, 1, n_terms + 1)
     e_num, e_den = E_UPPER.numerator, E_UPPER.denominator
     return p1 * q2 * e_den + e_num * p2 * q1, q1 * q2 * e_den
-
-
-def bound_series_sum(f: GrowthFunction, a: WeightSequence, n_terms: int) -> Fraction:
-    """Exact sum_{n<=N} (1/a_n + e/(f(n)+1)) with e its rational upper bound."""
-    return Fraction(*_bound_series(f, a, n_terms))
 
 
 # Fractional bits of BoundProfile's fixed-point pass.
@@ -467,16 +455,6 @@ class BoundProfile:
         return num / den
 
 
-@functools.lru_cache(maxsize=1)
-def bound_profile(f: GrowthFunction, a: WeightSequence) -> BoundProfile:
-    """The BoundProfile of (f, a), kept until another (f, a) is read.
-
-    The `bound` verb reads one (f, a) at many N and clears the cache when it
-    starts, as with rational_profile.
-    """
-    return BoundProfile(f, a)
-
-
 def bound_theoretical(
     f: GrowthFunction, a: WeightSequence, alpha: Fraction, n_terms: int
 ) -> float:
@@ -491,7 +469,8 @@ def bound_theoretical(
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    return dirichlet_bound(alpha) * (1.0 + 4.0 * math.pi * bound_profile(f, a).value(n_terms))
+    series = profile(BoundProfile, f, a).value(n_terms)
+    return dirichlet_bound(alpha) * (1.0 + 4.0 * math.pi * series)
 
 
 def eq4_rhs(f: GrowthFunction, p: int, q: int) -> float:
@@ -499,10 +478,9 @@ def eq4_rhs(f: GrowthFunction, p: int, q: int) -> float:
 
     |sum_{n<q} e((n + f(n)!) p/q)| + 2 * dirichlet_bound(p/q) + 1.
 
-    The head sum comes from af_sum_rational, within its stated error
-    (the profile's sums.error); the rest adds a few ulps.
+    The head sum is S(q - 1) of the (f, p, q) RationalProfile, the value
+    af_sum_rational(f, p, q, q - 1) returns, within the profile's
+    sums.error; the rest adds a few ulps.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    head_sum, _ = af_sum_rational(f, p, q, q - 1)
+    head_sum = profile(RationalProfile, f, p, q).value(q - 1)
     return abs(head_sum) + 2.0 * dirichlet_bound(Fraction(p, q)) + 1.0

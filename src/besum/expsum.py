@@ -246,16 +246,3 @@ def qn_counterexample_sup(q: int, alpha: Fraction, n_max: int) -> float:
         total = sums[-1]
     return best
 
-
-def csv_row(alpha: Fraction, trace: SumTrace) -> dict:
-    """One result row for the CSV interface."""
-    return {
-        "N": trace.count,
-        "re": trace.re,
-        "im": trace.im,
-        "modulus": trace.modulus,
-        "empirical_sup": trace.sup_modulus,
-        "sup_at": trace.sup_at,
-        "alpha_num": alpha.numerator,
-        "alpha_den": alpha.denominator,
-    }

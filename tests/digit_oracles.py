@@ -19,6 +19,7 @@ from besum.construction import (
     DigitConstraintSet,
     GrowthFunction,
     WeightSequence,
+    _bound_series,
     membership,
 )
 from besum.dimension import count_cylinders
@@ -200,6 +201,11 @@ def af_sums_by_terms(
             err += Fraction(n, depth_fact) + m_err
         out.append((total, 2.0 * math.pi * float(err)))
     return out
+
+
+def bound_series_sum(f: GrowthFunction, a: WeightSequence, n_terms: int) -> Fraction:
+    """Exact sum_{n<=N} (1/a_n + e/(f(n)+1)) with e its rational upper bound."""
+    return Fraction(*_bound_series(f, a, n_terms))
 
 
 def bound_series_by_terms(f: GrowthFunction, a: WeightSequence, n_terms: int) -> Fraction:

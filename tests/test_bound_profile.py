@@ -15,14 +15,9 @@ from hypothesis import strategies as st
 
 import besum.construction as construction
 from besum.cli import main
-from besum.construction import (
-    BoundProfile,
-    bound_profile,
-    bound_series_sum,
-    get_growth,
-    get_weights,
-)
+from besum.construction import BoundProfile, get_growth, get_weights, profile
 from besum.expsum import dirichlet_bound
+from digit_oracles import bound_series_sum
 
 GROWTH = ["identity", "n2", "n3", "pow2"]
 WEIGHTS = ["n2", "pow2", "nfact"]
@@ -112,10 +107,11 @@ def test_pow2_to_1800_needs_no_exact_series(exact_calls):
     assert _bound_rows(result.output)[-1] == (300, exact_bound(f, a, Fraction(1, 3), 300))
 
 
-def test_one_profile_per_invocation():
-    for _ in range(2):
+def test_one_profile_per_invocation(builds):
+    built = builds(BoundProfile)
+    for runs in (1, 2):
         result = CliRunner().invoke(main, ["bound", "--alpha", "2/7", "--N", "1000"])
         assert result.exit_code == 0, result.output
-        info = bound_profile.cache_info()
-        # Built once, then read at the other nine schedule points.
-        assert (info.misses, info.hits) == (1, 9)
+        # Built once and read at all ten schedule points; the slot is empty afterwards.
+        assert len(built) == runs
+        assert profile.cache_info().currsize == 0

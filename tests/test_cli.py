@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import besum
 from besum.cli import _json_text, main
-from besum.construction import get_growth, rational_profile
+from besum.construction import FactoradicProfile, RationalProfile, get_growth, profile
 from besum.dimension import condition_ii_check
+from besum.expsum import RootSums
 from besum.factoradic import encode, write_digit_file
 from besum.periodicity import CoefficientSequence, SectorGrid, write_coeffs_file
 
@@ -92,29 +93,51 @@ class TestSumVerb:
         assert "--N must be >= 1" in result.output
         assert not isinstance(result.exception, IndexError)
 
-    def test_one_profile_per_invocation(self, runner):
-        for _ in range(2):
+    def test_one_profile_per_invocation(self, runner, builds):
+        built = builds(RationalProfile)
+        for runs in (1, 2):
             result = runner.invoke(main, ["sum", "--alpha", "2/7", "--N", "1000"])
             assert result.exit_code == 0, result.output
-            info = rational_profile.cache_info()
-            # Built once, then read at the other nine schedule points.
-            assert (info.misses, info.hits) == (1, 9)
+            # Built once and read at all ten schedule points; the slot is empty afterwards.
+            assert len(built) == runs
+            assert profile.cache_info().currsize == 0
+            assert built[-1]() is None
 
-    def test_sup_sweep_reads_each_angle_three_times_in_a_row(self, runner):
+    def test_sup_sweep_builds_and_sups_each_angle_once(self, runner, builds, monkeypatch):
+        built = builds(RationalProfile)
+        sups = []
+        sup = RootSums.sup
+
+        def counted(sums, n):
+            sups.append(n)
+            return sup(sums, n)
+        monkeypatch.setattr(RootSums, "sup", counted)
         result = runner.invoke(main, ["sup-sweep", "--qmax", "5", "--N", "50"])
         assert result.exit_code == 0, result.output
-        info = rational_profile.cache_info()
-        # Nine reduced p/q with q <= 5, each built once, then read for the bound and tail sup.
-        assert (info.misses, info.hits) == (9, 18)
+        # Nine reduced p/q with q <= 5: each profile is built once and read for the sum, the
+        # bound's head sum and the tail sup; only the sum takes a sup.
+        assert len(built) == 9
+        assert len(sups) == 9
 
     def test_a_profile_is_freed_when_the_next_angle_is_read(self):
         f = get_growth("n2")
-        rational_profile.cache_clear()
-        first = weakref.ref(rational_profile(f, 1, 7))
-        rational_profile(f, 1, 7)
+        profile.cache_clear()
+        first = weakref.ref(profile(RationalProfile, f, 1, 7))
+        profile(RationalProfile, f, 1, 7)
         assert first() is not None
-        rational_profile(f, 2, 7)
+        profile(RationalProfile, f, 2, 7)
         assert first() is None
+
+    def test_a_depth_error_leaves_no_profile(self, runner, builds, tmp_path):
+        digits = write_sample_digits(tmp_path / "a.digits", Fraction(1, 1009), depth=30)
+        built = builds(FactoradicProfile)
+        result = runner.invoke(main, ["sum", "--alpha-digits", str(digits), "--N", "50"])
+        assert result.exit_code == 4, result.output
+        assert len(built) == 1
+        assert profile.cache_info().currsize == 0
+        del result  # its exception chain holds the frame that read the profile
+        gc.collect()
+        assert built[0]() is None
 
     @pytest.mark.parametrize("alpha", ["1/10000000000", "1e-30"])
     def test_huge_denominator_is_a_budget_error(self, runner, alpha):

@@ -4,9 +4,10 @@ Each run gives up to two of the verb's options a token from POOL, or
 omits them, and gives the others a token in range for them.  Whatever
 the arguments, a run must end in a documented exit code (0, 2 config,
 3 resource budget, 4 digit depth) with no exception escaping but
-SystemExit, and JSON on stdout must be strict JSON.  The in-range tokens
-are kept small so that every run is small: N <= 50, depth <= 40,
-qmax <= 5, jmax <= 40, imax <= 8, nmax <= 12.
+SystemExit, JSON on stdout must be strict JSON, and no profile may be
+left in the profile slot.  The in-range tokens are kept small so that
+every run is small: N <= 50, depth <= 40, qmax <= 5, jmax <= 40,
+imax <= 8, nmax <= 12.
 """
 
 import json
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besum.cli import main
+from besum.construction import profile
 from besum.factoradic import encode, write_digit_file
 from besum.periodicity import CoefficientSequence, write_coeffs_file
 
@@ -107,5 +109,6 @@ def test_any_arguments_end_in_a_documented_exit_code(invocation):
     assert result.exit_code in (0, 2, 3, 4), (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         argv, repr(result.exception))
+    assert profile.cache_info().currsize == 0, argv
     if result.exit_code == 0 and verb in JSON_VERBS and not {"--dry-run", "--out"} & set(argv):
         json.loads(result.stdout, parse_constant=_reject_constant)

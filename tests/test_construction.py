@@ -20,7 +20,6 @@ from besum.construction import (
     af_elements,
     af_sum_factoradic,
     af_sum_rational,
-    bound_series_sum,
     bound_theoretical,
     eq4_rhs,
     get_growth,
@@ -37,7 +36,7 @@ from besum.factoradic import (
     decode,
     encode,
 )
-from digit_oracles import from_digit_map, membership_by_caps, sample_by_caps
+from digit_oracles import bound_series_sum, from_digit_map, membership_by_caps, sample_by_caps
 
 F_ID = get_growth("identity")
 F_N2 = get_growth("n2")

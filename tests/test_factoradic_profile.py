@@ -22,10 +22,9 @@ from besum.cli import main
 from besum.construction import (
     DigitConstraintSet,
     af_sum_factoradic,
-    bound_series_sum,
-    factoradic_profile,
     get_growth,
     get_weights,
+    profile,
     sample_e_set,
 )
 from besum.factoradic import (
@@ -35,7 +34,12 @@ from besum.factoradic import (
     frac_factorial,
     write_digit_file,
 )
-from digit_oracles import af_sums_by_terms, bound_series_by_terms, frac_factorial_by_digits
+from digit_oracles import (
+    af_sums_by_terms,
+    bound_series_by_terms,
+    bound_series_sum,
+    frac_factorial_by_digits,
+)
 
 GROWTH = ["identity", "n2", "n3", "pow2"]
 
@@ -77,7 +81,7 @@ def test_sums_and_phase_errors_equal_the_reference(f_name, alpha, rng):
     f = get_growth(f_name)
     n_max = allowed_n(f, alpha)
     want = af_sums_by_terms(f, alpha, n_max)
-    factoradic_profile.cache_clear()
+    profile.cache_clear()
     # Any order of N: the profile extends its partial sums only when asked for more,
     # and reads frac_factorial for term 1 only.
     order = list(range(1, n_max + 1))
@@ -105,7 +109,7 @@ def test_bound_series_equals_the_fraction_loop(f_name, a_name):
 def test_depth_1200_sample_matches_the_reference():
     f = get_growth("n2")
     alpha = sample_e_set(DigitConstraintSet(f, get_weights("n2")), 1200, 17)
-    factoradic_profile.cache_clear()
+    profile.cache_clear()
     want = af_sums_by_terms(f, alpha, 34)
     for n in range(1, 35):
         assert af_sum_factoradic(f, alpha, n) == want[n - 1], n

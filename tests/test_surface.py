@@ -19,7 +19,6 @@ SOURCES = sorted(Path(besum.__file__).parent.glob("*.py"))
 ALLOWED = {
     "SumTrace.add_unit": "the benchmark's tracer test reads it (bench/test_benchmark.py)",
     "write_coeffs_file": "the writer of the format read_coeffs_file reads",
-    "bound_series_sum": "the exact reference the bound tests compare against",
 }
 
 
