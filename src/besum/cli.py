@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +22,6 @@ import click
 
 from . import __version__
 from .construction import (
-    DEFAULT_BIT_BUDGET,
     DigitConstraintSet,
     RationalProfile,
     ResourceBudgetError,
@@ -61,7 +59,6 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_DEPTH = 4
 
-BIT_BUDGET_ENV = "BESUM_BIT_BUDGET"
 # Options outside the hashed config: where output goes, --dry-run, and the
 # seed, which the provenance reports on its own.
 _UNHASHED = ("out", "out_dir", "dry_run", "seed")
@@ -81,13 +78,19 @@ def verb(group: click.Group, name: str):
     """Declare the decorated function as the CLI verb `name` under `group`.
 
     The verb gets a --dry-run flag (see _stop_if_dry_run) and domain errors
-    end in the documented exit codes; the function takes every other option.
+    end in the documented exit codes.  The function takes every other
+    option but --out and returns one document, which `verb` writes to
+    --out, or to stdout without it (_render): a list of row dicts is CSV,
+    its header the first row's keys; a dict is JSON; a FactoradicReal is a
+    digit file.  A verb that writes its own files returns None.
     """
     def declare(fn):
         @functools.wraps(fn)
-        def run(dry_run, **options):
+        def run(dry_run, out=None, **options):
             try:
-                fn(**options)
+                document = fn(**options)
+                if document is not None:
+                    _emit(out, _render(document))
             except InsufficientDepthError as exc:
                 _echo(f"error: {exc}\n", err=True)
                 sys.exit(EXIT_DEPTH)
@@ -105,18 +108,9 @@ def verb(group: click.Group, name: str):
     return declare
 
 
-def _at_least(low: int):
-    """Option callback: reject integers below low (exit 2, --dry-run included)."""
-    def check(ctx, param, value):
-        if value < low:
-            raise click.BadParameter(f"{param.opts[0]} must be >= {low}, got {value}")
-        return value
-    return check
-
-
 _F = click.option("--f", default="n2", show_default=True, help="Growth function name.")
 _A = click.option("--a", default="n2", show_default=True)
-_N = click.option("--N", "N", type=int, required=True, callback=_at_least(1))
+_N = click.option("--N", "N", type=click.IntRange(min=1), required=True)
 _OUT = click.option("--out", type=click.Path(path_type=Path), default=None)
 
 
@@ -137,11 +131,11 @@ def _stop_if_dry_run() -> None:
         sys.exit(0)
 
 
-def _provenance(seed: int | None) -> dict:
+def _provenance() -> dict:
     return {
         "tool": f"besum {__version__}",
         "config_hash": hashlib.sha256(_config().encode()).hexdigest()[:16],
-        "seed": seed,
+        "seed": click.get_current_context().params.get("seed"),
         # Excluded from the determinism contract.
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -155,14 +149,6 @@ def _emit(out: Path | None, text: str) -> None:
         out.write_text(text)
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
-
-
-def _emit_csv(out: Path | None, fields: list[str], rows: list[dict]) -> None:
-    lines = [f"# {k}={v}" for k, v in _provenance(None).items()]
-    lines.append(",".join(fields))
-    for row in rows:
-        lines.append(",".join(str(row.get(f, "")) for f in fields))
-    _emit(out, "\n".join(lines) + "\n")
 
 
 def _column_json(values: tuple) -> list[str] | None:
@@ -229,15 +215,18 @@ def _json_text(doc: dict) -> str:
     return "{\n" + ",\n".join(items) + "\n}"
 
 
-def _emit_json(out: Path | None, payload: dict, seed: int | None = None) -> None:
-    doc = {"provenance": _provenance(seed), **payload}
-    _emit(out, _json_text(doc) + "\n")
-
-
-def _emit_digits(out: Path | None, value: FactoradicReal) -> None:
-    buf = io.StringIO()
-    write_digit_file(value, buf)
-    _emit(out, buf.getvalue())
+def _render(document: list[dict] | dict | FactoradicReal) -> str:
+    """A verb's document as the text `verb` writes."""
+    if isinstance(document, FactoradicReal):
+        buf = io.StringIO()
+        write_digit_file(document, buf)
+        return buf.getvalue()
+    if isinstance(document, dict):
+        return _json_text({"provenance": _provenance(), **document}) + "\n"
+    lines = [f"# {k}={v}" for k, v in _provenance().items()]
+    lines.append(",".join(document[0]))
+    lines.extend(",".join(map(str, row.values())) for row in document)
+    return "\n".join(lines) + "\n"
 
 
 def _parse_rational(text: str, option: str) -> Fraction:
@@ -274,14 +263,6 @@ def _n_schedule(n_max: int) -> list[int]:
     return points
 
 
-def _bit_budget() -> int:
-    raw = os.environ.get(BIT_BUDGET_ENV, str(DEFAULT_BIT_BUDGET))
-    try:
-        return int(raw)
-    except ValueError:
-        raise click.UsageError(f"{BIT_BUDGET_ENV}={raw!r} is not an integer")
-
-
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -294,7 +275,7 @@ def main():
 @click.option("--alpha-digits", default=None, type=click.Path(exists=True, dir_okay=False))
 @_N
 @_OUT
-def sum_cmd(f, alpha, alpha_digits, N, out):
+def sum_cmd(f, alpha, alpha_digits, N):
     """Sum e((n+f(n)!) alpha) for n <= N, snapshots on a log-spaced schedule."""
     f = get_growth(f)
     value = _load_alpha(alpha, alpha_digits)
@@ -309,7 +290,6 @@ def sum_cmd(f, alpha, alpha_digits, N, out):
                 "modulus": trace.modulus, "empirical_sup": trace.sup_modulus,
                 "sup_at": trace.sup_at,
             })
-        fields = ["alpha_num", "alpha_den", "N", "re", "im", "modulus", "empirical_sup", "sup_at"]
     else:
         for n in _n_schedule(N):
             total, phase_error = af_sum_factoradic(f, value, n)
@@ -317,17 +297,16 @@ def sum_cmd(f, alpha, alpha_digits, N, out):
                 "alpha_digits_file": alpha_digits, "N": n, "re": total.real,
                 "im": total.imag, "modulus": abs(total), "phase_error": phase_error,
             })
-        fields = ["alpha_digits_file", "N", "re", "im", "modulus", "phase_error"]
-    _emit_csv(out, fields, rows)
+    return rows
 
 
 @verb(main, "sup-sweep")
 @_F
-@click.option("--qmax", type=int, required=True, callback=_at_least(2),
+@click.option("--qmax", type=click.IntRange(min=2), required=True,
               help="All reduced p/q with q <= qmax.")
 @_N
 @_OUT
-def sup_sweep(f, qmax, N, out):
+def sup_sweep(f, qmax, N):
     """Empirical sup of |S_{A(f)}(p/q, N)| against the rational-case bound.
 
     empirical_sup is over 1 <= N' <= N; the bound holds for N' >= q - 1, so
@@ -348,9 +327,7 @@ def sup_sweep(f, qmax, N, out):
                 "empirical_sup": trace.sup_modulus, "sup_at": trace.sup_at,
                 "tail_sup": tail_sup, "bound_rhs": rhs, "ok": tail_sup <= rhs,
             })
-    fields = ["alpha_num", "alpha_den", "N", "empirical_sup", "sup_at", "tail_sup", "bound_rhs",
-              "ok"]
-    _emit_csv(out, fields, rows)
+    return rows
 
 
 @main.group("factoradic")
@@ -360,38 +337,34 @@ def factoradic_group():
 
 @verb(factoradic_group, "encode")
 @click.option("--value", required=True, help="Rational p/q in [0,1).")
-@click.option("--depth", type=int, default=32, show_default=True)
+@click.option("--depth", type=click.IntRange(min=2), default=32, show_default=True)
 @_OUT
-def factoradic_encode(value, depth, out):
+def factoradic_encode(value, depth):
     x = _parse_rational(value, "--value")
     _stop_if_dry_run()
-    _emit_digits(out, encode(x, depth))
+    return encode(x, depth)
 
 
 @verb(factoradic_group, "decode")
 @click.option("--digits", required=True, type=click.Path(exists=True, dir_okay=False))
 @_OUT
-def factoradic_decode(digits, out):
+def factoradic_decode(digits):
     with open(digits) as fp:
         f = read_digit_file(fp)
     _stop_if_dry_run()
     lower, upper = decode(f)
-    _emit_json(out, {
-        "depth": f.depth, "tail": f.tail.value,
-        "lower": str(lower), "upper": str(upper),
-    })
+    return {"depth": f.depth, "tail": f.tail.value, "lower": str(lower), "upper": str(upper)}
 
 
 @verb(main, "construct")
 @_F
-@click.option("--nmax", type=int, required=True, callback=_at_least(1))
+@click.option("--nmax", type=click.IntRange(min=1), required=True)
 @_OUT
-def construct(f, nmax, out):
+def construct(f, nmax):
     """List the exact elements n + f(n)! for n <= nmax."""
     f = get_growth(f)
     _stop_if_dry_run()
-    bit_budget = _bit_budget()
-    check_bit_budget(f, nmax, bit_budget)  # over the budget is exit 3, before the text limit
+    check_bit_budget(f, nmax)  # over the budget is exit 3, before the text limit
     digits = int(math.lgamma(f(nmax) + 1) / math.log(10)) + 1  # of f(nmax)!, the largest element
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or Python < 3.10.7
     if digits > limit > 0:
@@ -399,9 +372,7 @@ def construct(f, nmax, out):
             f"--nmax {nmax}: element n + f(n)! has {digits} decimal digits, over the limit "
             f"of {limit} digits Python converts to text (sys.get_int_max_str_digits)"
         )
-    elements = af_elements(f, nmax, bit_budget=bit_budget)
-    rows = [{"n": n, "element": el} for n, el in enumerate(elements, start=1)]
-    _emit_csv(out, ["n", "element"], rows)
+    return [{"n": n, "element": el} for n, el in enumerate(af_elements(f, nmax), start=1)]
 
 
 @verb(main, "membership")
@@ -409,22 +380,22 @@ def construct(f, nmax, out):
 @_A
 @click.option("--alpha-digits", required=True, type=click.Path(exists=True, dir_okay=False))
 @_OUT
-def membership_cmd(f, a, alpha_digits, out):
+def membership_cmd(f, a, alpha_digits):
     """Three-valued E(f,a) membership of a digit-file angle."""
     constraints = DigitConstraintSet(get_growth(f), get_weights(a))
     with open(alpha_digits) as fp:
         alpha = read_digit_file(fp)
     _stop_if_dry_run()
     verdict = membership(constraints, alpha)
-    _emit_json(out, {"membership": verdict.value, "depth": alpha.depth})
+    return {"membership": verdict.value, "depth": alpha.depth}
 
 
 @verb(main, "sample-e")
 @_F
 @_A
-@click.option("--depth", type=int, required=True)
+@click.option("--depth", type=click.IntRange(min=2), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=int, default=1, show_default=True, callback=_at_least(1))
+@click.option("--count", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=None,
               help="Write one digit file per sample here; default prints digit files.")
 def sample_e(f, a, depth, seed, count, out_dir):
@@ -438,7 +409,7 @@ def sample_e(f, a, depth, seed, count, out_dir):
             raise ValueError(f"cannot create directory {out_dir}: {exc.strerror}") from exc
     for i in range(count):
         out = None if out_dir is None else out_dir / f"sample_{seed + i}.digits"
-        _emit_digits(out, sample_e_set(constraints, depth, seed + i))
+        _emit(out, _render(sample_e_set(constraints, depth, seed + i)))
 
 
 @verb(main, "bound")
@@ -447,77 +418,72 @@ def sample_e(f, a, depth, seed, count, out_dir):
 @click.option("--alpha", required=True, help="Rational angle p/q.")
 @_N
 @_OUT
-def bound_cmd(f, a, alpha, N, out):
+def bound_cmd(f, a, alpha, N):
     """The closed-form boundedness estimate for A(f) over E(f,a)."""
     f = get_growth(f)
     a = get_weights(a)
     value = _load_alpha(alpha)
     _stop_if_dry_run()
-    rows = [{"N": n, "bound": bound_theoretical(f, a, value, n)} for n in _n_schedule(N)]
-    _emit_csv(out, ["N", "bound"], rows)
+    return [{"N": n, "bound": bound_theoretical(f, a, value, n)} for n in _n_schedule(N)]
 
 
 @verb(main, "dimension")
 @_F
 @_A
-@click.option("--jmax", type=int, required=True)
+@click.option("--jmax", type=click.IntRange(min=4), required=True)
 @_OUT
-def dimension_cmd(f, a, jmax, out):
+def dimension_cmd(f, a, jmax):
     """log(cylinder count)/log(j!) series: the full-dimension proxy."""
     constraints = DigitConstraintSet(get_growth(f), get_weights(a))
     _stop_if_dry_run()
     series = dimension_lower_estimate(constraints, jmax)
-    _emit_json(out, {"series": [{"j": j, "ratio": r} for j, r in series]})
+    return {"series": [{"j": j, "ratio": r} for j, r in series]}
 
 
 @verb(main, "mass-check")
 @_F
 @_A
 @click.option("--s", type=float, required=True)
-@click.option("--i0", type=int, default=3, show_default=True)
+@click.option("--i0", type=click.IntRange(min=2), default=3, show_default=True)
 @click.option("--imax", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_OUT
-def mass_check_cmd(f, a, s, i0, imax, seed, out):
+def mass_check_cmd(f, a, s, i0, imax, seed):
     """Empirical mass-distribution check mu(B) <= a |B|^s."""
     constraints = DigitConstraintSet(get_growth(f), get_weights(a))
     _stop_if_dry_run()
-    report = mass_check(constraints, s, i0, imax, seed=seed)
-    _emit_json(out, report.to_json_dict(), seed=seed)
+    return mass_check(constraints, s, i0, imax, seed=seed).to_json_dict()
 
 
 @verb(main, "cond-ii")
 @_F
 @click.option("--eps", type=float, required=True)
-@click.option("--imax", type=int, required=True, callback=_at_least(1))
+@click.option("--imax", type=click.IntRange(min=1), required=True)
 @_OUT
-def cond_ii(f, eps, imax, out):
+def cond_ii(f, eps, imax):
     """Growth-condition statistic sup_i [sum log(f(j)+1) - eps log i!]."""
     f = get_growth(f)
     _stop_if_dry_run()
     sup_log, attained_at, _ = condition_ii_check(f, eps, imax)
-    _emit_json(out, {"sup_log": sup_log, "attained_at": attained_at})
+    return {"sup_log": sup_log, "attained_at": attained_at}
 
 
 @verb(main, "periodicity")
 @click.option("--coeffs", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-preperiod", type=int, default=64, show_default=True, callback=_at_least(0))
-@click.option("--max-period", type=int, default=100, show_default=True, callback=_at_least(1))
+@click.option("--max-preperiod", type=click.IntRange(min=0), default=64, show_default=True)
+@click.option("--max-period", type=click.IntRange(min=1), default=100, show_default=True)
 @_OUT
-def periodicity_cmd(coeffs, max_preperiod, max_period, out):
+def periodicity_cmd(coeffs, max_preperiod, max_period):
     """Detect ultimate periodicity and test the period-collapse condition."""
     with open(coeffs) as fp:
         sequence = read_coeffs_file(fp)
     _stop_if_dry_run()
     found = detect_ultimate_period(sequence, max_preperiod, max_period)
     if found is None:
-        _emit_json(out, {"periodic": False, "window": [max_preperiod, max_period]})
-        return
+        return {"periodic": False, "window": [max_preperiod, max_period]}
     k, q = found
-    _emit_json(out, {
-        "periodic": True, "preperiod": k, "period": q,
-        "collapse": period_collapse_test(sequence, k, q),
-    })
+    return {"periodic": True, "preperiod": k, "period": q,
+            "collapse": period_collapse_test(sequence, k, q)}
 
 
 @verb(main, "sector-eval")
@@ -526,9 +492,9 @@ def periodicity_cmd(coeffs, max_preperiod, max_period, out):
 @click.option("--theta2", type=float, required=True)
 @click.option("--radii", default="0.9,0.99,0.999", show_default=True)
 @click.option("--n-theta", type=int, default=16, show_default=True)
-@click.option("--A", "A", type=int, required=True, callback=_at_least(1))
+@click.option("--A", "A", type=click.IntRange(min=1), required=True)
 @_OUT
-def sector_eval_cmd(coeffs, theta1, theta2, radii, n_theta, A, out):
+def sector_eval_cmd(coeffs, theta1, theta2, radii, n_theta, A):
     """Max modulus of prefix power sums on a sector grid (prefix_sup semantics)."""
     with open(coeffs) as fp:
         sequence = read_coeffs_file(fp)
@@ -536,24 +502,21 @@ def sector_eval_cmd(coeffs, theta1, theta2, radii, n_theta, A, out):
     sector = SectorSpec(theta1, theta2, r_grid, n_theta)
     _stop_if_dry_run()
     grid = sector_eval(sequence, sector, min(A, len(sequence) - 1))
-    _emit_json(out, {
-        "max_modulus": grid.max_modulus,
-        "max_at_r": grid.max_at[0],
-        "max_at_theta": grid.max_at[1],
-    })
+    return {"max_modulus": grid.max_modulus, "max_at_r": grid.max_at[0],
+            "max_at_theta": grid.max_at[1]}
 
 
 @verb(main, "qn-demo")
-@click.option("--q", type=int, required=True)
+@click.option("--q", type=click.IntRange(min=2), required=True)
 @click.option("--alpha", required=True)
 @_N
 @_OUT
-def qn_demo(q, alpha, N, out):
+def qn_demo(q, alpha, N):
     """The {qn} counterexample: bounded off p/q, linear growth at p/q."""
     value = _load_alpha(alpha)
     _stop_if_dry_run()
     sup = qn_counterexample_sup(q, value, N)
-    _emit_json(out, {"q": q, "alpha": str(value), "N": N, "empirical_sup": sup})
+    return {"q": q, "alpha": str(value), "N": N, "empirical_sup": sup}
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ from .factoradic import (
     frac_factorial,
 )
 
-DEFAULT_BIT_BUDGET = 10**7
+# Most bits an exact element n + f(n)! may need (`construct`, af_elements).
+BIT_BUDGET = 10**7
 # Largest denominator a RationalProfile accepts.  Building one peaks at
 # about 44 bytes a term over its H + q < 2q terms (the residue, root, sum
 # and modulus arrays), so q = 10^7 takes up to 0.9 GB, and for
@@ -183,16 +184,17 @@ def sample_e_set(constraints: DigitConstraintSet, depth: int, seed: int) -> Fact
             return FactoradicReal(digits, Tail.ZERO)
 
 
-def check_bit_budget(f: GrowthFunction, n: int, bit_budget: int) -> None:
-    """Raise ResourceBudgetError when f(n)! needs more than bit_budget bits."""
+def check_bit_budget(f: GrowthFunction, n: int) -> None:
+    """Raise ResourceBudgetError when f(n)! needs more than BIT_BUDGET bits."""
     v = f(n)
     try:
         bits = lgamma(v + 1) / math.log(2)
     except OverflowError:  # f(n) beyond the float range
         bits = math.inf
-    if bits > bit_budget:
+    if bits > BIT_BUDGET:
         raise ResourceBudgetError(
-            f"f({n})! needs about {bits:.3g} bits, over the budget of {bit_budget}"
+            f"f({n})! needs about {bits:.3g} bits, over the budget of {BIT_BUDGET} "
+            "(construction.BIT_BUDGET)"
         )
 
 
@@ -212,11 +214,11 @@ def _factorials(f: GrowthFunction, q: int = 0) -> Iterator[int]:
         yield fact
 
 
-def af_elements(f: GrowthFunction, n_max: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> list[int]:
+def af_elements(f: GrowthFunction, n_max: int) -> list[int]:
     """Exact elements n + f(n)! for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    check_bit_budget(f, n_max, bit_budget)
+    check_bit_budget(f, n_max)
     return [n + fact for n, fact in zip(range(1, n_max + 1), _factorials(f))]
 
 
@@ -432,14 +434,13 @@ class BoundProfile:
     def __init__(self, f: GrowthFunction, a: WeightSequence):
         self.f = f
         self.a = a
-        self.bits = BOUND_GUARD_BITS
         self.n = 0
         self.sum_a = self.sum_f = 0
 
     def value(self, n_terms: int) -> float:
         if n_terms < self.n:
             self.n = self.sum_a = self.sum_f = 0
-        one = 1 << self.bits
+        one = 1 << BOUND_GUARD_BITS
         f, a, sum_a, sum_f = self.f, self.a, self.sum_a, self.sum_f
         for m in range(self.n + 1, n_terms + 1):
             sum_a += one // a(m)
@@ -447,7 +448,7 @@ class BoundProfile:
         self.n, self.sum_a, self.sum_f = n_terms, sum_a, sum_f
         e_num, e_den = E_UPPER.numerator, E_UPPER.denominator
         lo = e_den * sum_a + e_num * sum_f
-        den = e_den << self.bits
+        den = e_den << BOUND_GUARD_BITS
         value = lo / den
         if value == (lo + (e_den + e_num) * n_terms) / den:
             return value

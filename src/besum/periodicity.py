@@ -103,8 +103,7 @@ class SectorSpec:
 @dataclass
 class SectorGrid:
     thetas: np.ndarray
-    radii: tuple[float, ...]
-    values: np.ndarray  # shape (len(radii), len(thetas))
+    values: np.ndarray  # shape (len(r_grid), len(thetas))
     max_modulus: float
     max_at: tuple[float, float]  # (r, theta) attaining the max
 
@@ -167,7 +166,6 @@ def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> Sec
     ri, ti = divmod(flat, len(thetas))
     return SectorGrid(
         thetas=thetas,
-        radii=tuple(sector.r_grid),
         values=vals,
         max_modulus=float(np.abs(vals[ri, ti])),
         max_at=(sector.r_grid[ri], float(thetas[ti])),

@@ -90,7 +90,7 @@ class TestSumVerb:
     def test_nonpositive_n_is_config_error(self, runner, verb, n_max):
         result = runner.invoke(main, [verb, "--alpha", "1/3", "--N", n_max])
         assert result.exit_code == 2
-        assert "--N must be >= 1" in result.output
+        assert f"Invalid value for '--N': {n_max} is not in the range x>=1." in result.output
         assert not isinstance(result.exception, IndexError)
 
     def test_one_profile_per_invocation(self, runner, builds):
@@ -202,10 +202,11 @@ class TestVerbs:
         assert result.exit_code == 0
         assert "5,125" in result.output
 
-    def test_construct_budget_exit_code(self, runner, monkeypatch):
-        monkeypatch.setenv("BESUM_BIT_BUDGET", "100")
+    def test_construct_budget_exit_code(self, runner):
+        # pow2: f(30)! = (2^30)! needs about 3e10 bits.
         result = runner.invoke(main, ["construct", "--f", "pow2", "--nmax", "30"])
         assert result.exit_code == 3
+        assert "over the budget of 10000000 (construction.BIT_BUDGET)" in result.output
 
     def test_construct_past_the_text_limit_is_config_error(self, runner):
         limit = sys.get_int_max_str_digits()
@@ -397,6 +398,15 @@ def test_config_hash_is_pinned(runner, tmp_path, monkeypatch, argv, config_hash)
     header = [ln for ln in result.output.splitlines() if "config_hash" in ln]
     # factoradic encode and sample-e print bare digit files, with no header.
     assert all(config_hash in ln for ln in header)
+    # The same bytes go to --out (sample-e: to --out-dir, one file a sample, in seed order).
+    if argv[0] == "sample-e":
+        written = runner.invoke(main, argv + ["--out-dir", "samples"])
+        text = "".join((tmp_path / "samples" / f"sample_{s}.digits").read_text() for s in (4, 5))
+    else:
+        written = runner.invoke(main, argv + ["--out", "out.txt"])
+        text = (tmp_path / "out.txt").read_text()
+    assert written.exit_code == 0 and written.output == "", written.output
+    assert strip_timestamp(text) == strip_timestamp(result.output)
 
 
 def test_cli_import_leaves_mpmath_unloaded():
@@ -415,7 +425,8 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("argv, message", [
+# Each case breaks one declared bound, given as "--option must be >= low".
+@pytest.mark.parametrize("argv, bound", [
     (["sample-e", "--depth", "10", "--count", "-1"], "--count must be >= 1"),
     (["sample-e", "--depth", "10", "--count", "0"], "--count must be >= 1"),
     (["qn-demo", "--q", "3", "--alpha", "1/3", "--N", "-5"], "--N must be >= 1"),
@@ -429,16 +440,24 @@ def _strict_json(text: str):
     (["periodicity", "--coeffs", "c.coeffs", "--max-period", "0"], "--max-period must be >= 1"),
     (["periodicity", "--coeffs", "c.coeffs", "--max-preperiod", "-1"],
      "--max-preperiod must be >= 0"),
+    (["factoradic", "encode", "--value", "1/3", "--depth", "1"], "--depth must be >= 2"),
+    (["sample-e", "--depth", "1", "--out-dir", "d"], "--depth must be >= 2"),
+    (["dimension", "--jmax", "3"], "--jmax must be >= 4"),
+    (["qn-demo", "--q", "1", "--alpha", "1/3", "--N", "5"], "--q must be >= 2"),
+    (["mass-check", "--s", "0.5", "--i0", "1", "--imax", "6"], "--i0 must be >= 2"),
 ])
 @pytest.mark.parametrize("dry_run", [False, True])
-def test_out_of_range_integers_are_config_errors(runner, tmp_path, monkeypatch, argv, message,
+def test_out_of_range_integers_are_config_errors(runner, tmp_path, monkeypatch, argv, bound,
                                                  dry_run):
     monkeypatch.chdir(tmp_path)
     with open(tmp_path / "c.coeffs", "w") as fp:
         write_coeffs_file(CoefficientSequence((0,) + (1, 0) * 150), fp)
     result = runner.invoke(main, argv + ["--dry-run"] * dry_run)
     assert result.exit_code == 2, result.output
-    assert message in result.output
+    option, low = bound.split(" must be >= ")
+    value = argv[argv.index(option) + 1]
+    assert f"Invalid value for '{option}': {value} is not in the range x>={low}." in result.output
+    assert not (tmp_path / "d").exists()  # rejected before sample-e makes its --out-dir
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -494,7 +513,7 @@ def test_non_finite_json_value_is_config_error(runner, tmp_path, monkeypatch):
     assert result.exit_code == 2, result.output
     assert "NaN" not in result.output and "not finite" in result.output
     # A NaN that reaches the JSON emitter is refused there too, not printed.
-    grid = SectorGrid(np.zeros(2), (0.9,), np.zeros((1, 2)), float("nan"), (0.9, 0.0))
+    grid = SectorGrid(np.zeros(2), np.zeros((1, 2)), float("nan"), (0.9, 0.0))
     monkeypatch.setattr("besum.cli.sector_eval", lambda *args: grid)
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output

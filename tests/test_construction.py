@@ -76,7 +76,7 @@ class TestAfElements:
 
     def test_bit_budget(self):
         with pytest.raises(ResourceBudgetError):
-            af_elements(get_growth("pow2"), 30, bit_budget=10**4)
+            af_elements(get_growth("pow2"), 30)
 
 
 def test_congruence_oracle():

@@ -1,4 +1,5 @@
-"""The package holds what the CLI runs: no public name in src/besum is used only by tests.
+"""The package holds what the CLI runs: no public name in src/besum is used only by tests,
+and no environment variable changes what it does.
 
 Every public top-level function and class, and every public method of a
 top-level class, must be referenced somewhere in src/besum outside its
@@ -80,3 +81,15 @@ def test_every_allowed_name_still_exists_and_is_unused():
         name, node, method = defined[qualified]
         assert not any(name in _references(tree, node, method) for tree in trees), (
             f"{qualified} is used inside the package now; drop it from ALLOWED")
+
+
+def test_no_environment_variable_is_read():
+    # An input that changes a result belongs in the hashed config, where the
+    # provenance records it; the environment is outside it.
+    reads = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                reads.append(f"{path.name}:{node.lineno}: {name}")
+    assert not reads, f"environment reads in src/besum: {reads}"
