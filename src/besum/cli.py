@@ -224,9 +224,20 @@ def _render(document: list[dict] | dict | FactoradicReal) -> str:
     if isinstance(document, dict):
         return _json_text({"provenance": _provenance(), **document}) + "\n"
     lines = [f"# {k}={v}" for k, v in _provenance().items()]
-    lines.append(",".join(document[0]))
-    lines.extend(",".join(map(str, row.values())) for row in document)
-    return "\n".join(lines) + "\n"
+    records = [list(document[0]), *(list(map(str, row.values())) for row in document)]
+    return "\n".join(lines) + "\n" + _csv_text(records) + "\n"
+
+
+def _csv_text(records: list[list[str]]) -> str:
+    """CSV lines (RFC 4180): a field holding a comma, a quote or a line break is
+    quoted, its quotes doubled; every other field is written bare."""
+    return "\n".join(",".join(map(_csv_field, record)) for record in records)
+
+
+def _csv_field(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _parse_rational(text: str, option: str) -> Fraction:

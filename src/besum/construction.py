@@ -234,9 +234,10 @@ def _head_residues(f: GrowthFunction, q: int) -> np.ndarray:
 def profile(kind: type, *key):
     """kind(*key), kept in one slot until another profile is read.
 
-    A verb reads one profile at many N (the `sum` and `bound` schedules) or
-    several times in a row (`sup-sweep`), so one slot holds every hit;
-    `cli.verb` empties it when the verb ends.
+    A verb reads one profile at many N (the `sum` and `bound` schedules),
+    several times in a row (`sup-sweep`) or once per interval at each depth
+    (`mass-check`), so one slot holds every hit; `cli.verb` empties it when
+    the verb ends.
     """
     return kind(*key)
 

@@ -11,9 +11,12 @@ The anchor k/i! lies in E(f,a) u {0} exactly when every mixed-radix
 digit of k (positions 2..i) is within its cap, so the members among
 k < K are counted from the digits of K alone: a digit d at position m
 contributes min(d, allowed(m)) * prod_{m' > m} allowed(m') and the walk
-stops after the first digit over its cap.  The mass of any interval B
-therefore costs O(i) small divisions and multiplications, however many
-cylinders B meets.
+stops after the first digit over its cap.  E(f,a) caps only the
+positions f(j)+1, and a run of uncapped positions lo..hi allows every
+digit, so the walk reads the whole run as one digit of radix
+hi!/(lo-1)!.  The mass of any interval B therefore costs one big-integer
+divmod per capped position and per run of uncapped positions, however
+many cylinders B meets.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .construction import DigitConstraintSet, GrowthFunction
+from .construction import DigitConstraintSet, GrowthFunction, profile
 from .factoradic import FactoradicReal
 
 
@@ -36,26 +39,47 @@ def count_cylinders(constraints: DigitConstraintSet, depth: int) -> int:
     return math.prod(constraints.allowed_digit_counts(depth))
 
 
-def _anchors_in_e_below(counts: list[int], k: int) -> int:
-    """#{0 <= k' < k : k'/depth! in E u {0}}, where counts holds the allowed digit
-    counts at positions 2..depth.
+class CylinderProfile:
+    """The depth-cylinders of E(f,a) u {0}: how many there are, depth!, and
+    the segments the anchor count walks (module docstring).
 
-    Walks k's digits from position depth (least significant) up to 2.  A
-    digit over its cap at position m drops what the positions after m
-    added: no anchor that shares k's digits through m is a member.  k >=
-    depth! (a nonzero quotient left over) counts every member.
+    A segment is (radix, allowed), least significant first: a capped
+    position m is (m, its allowed digit count), a run of uncapped
+    positions is (its radix, the same radix).
     """
-    below = 0
-    completions = 1  # prod of counts at the positions after m
-    for m in range(len(counts) + 1, 1, -1):
-        k, digit = divmod(k, m)
-        allowed = counts[m - 2]
-        if digit >= allowed:
-            below = allowed * completions
-        else:
-            below += digit * completions
-        completions *= allowed
-    return completions if k else below
+
+    def __init__(self, constraints: DigitConstraintSet, depth: int):
+        self.count = count_cylinders(constraints, depth)
+        self.depth_fact = factorial(depth)
+        counts = constraints.allowed_digit_counts(depth)
+        segments: list[tuple[int, int]] = []
+        for m in range(depth, 1, -1):
+            allowed = counts[m - 2]
+            if allowed == m and segments and segments[-1][0] == segments[-1][1]:
+                radix = segments[-1][0] * m
+                segments[-1] = (radix, radix)
+            else:
+                segments.append((m, allowed))
+        self.segments = segments
+
+    def anchors_below(self, k: int) -> int:
+        """#{0 <= k' < k : k'/depth! in E u {0}}.
+
+        Walks k's segments from position depth up to 2.  A digit over its
+        cap drops what the segments after it added: no anchor that shares
+        k's digits through it is a member.  k >= depth! (a nonzero quotient
+        left over) counts every member.
+        """
+        below = 0
+        completions = 1  # prod of allowed counts over the segments already walked
+        for radix, allowed in self.segments:
+            k, digit = divmod(k, radix)
+            if digit >= allowed:
+                below = allowed * completions
+            else:
+                below += digit * completions
+            completions *= allowed
+        return completions if k else below
 
 
 @dataclass
@@ -106,18 +130,17 @@ def covering_measure(
     With M = depth!, the cylinder (k/M, (k+1)/M) meets B for k_lo <= k <=
     k_hi, k_lo = max(0, floor(b_lo M)) and k_hi = min(M - 1, ceil(b_hi M) - 1),
     both in integer arithmetic.  The members of E u {0} among those
-    anchors are below(k_hi + 1) - below(k_lo), each read from the digits of
-    its argument (module docstring): O(depth) whatever |B| is.
+    anchors are below(k_hi + 1) - below(k_lo), each read segment by segment
+    from its argument (module docstring): one divmod per capped position
+    and per run of uncapped positions, whatever |B| is.
     """
-    m_fact = factorial(depth)
+    cylinders = profile(CylinderProfile, constraints, depth)
+    m_fact = cylinders.depth_fact
     k_lo = max(0, b_lo.numerator * m_fact // b_lo.denominator)
     k_hi = min(m_fact - 1, -(-b_hi.numerator * m_fact // b_hi.denominator) - 1)
     hits = max(0, k_hi - k_lo + 1)
-    in_e = 0
-    if hits:
-        counts = constraints.allowed_digit_counts(depth)
-        in_e = _anchors_in_e_below(counts, k_hi + 1) - _anchors_in_e_below(counts, k_lo)
-    return Fraction(in_e, count_cylinders(constraints, depth)), hits
+    in_e = cylinders.anchors_below(k_hi + 1) - cylinders.anchors_below(k_lo) if hits else 0
+    return Fraction(in_e, cylinders.count), hits
 
 
 def log_chain_coefficient(constraints: DigitConstraintSet, depth: int, s: float) -> float:
@@ -166,44 +189,50 @@ def mass_check(
     rng = random.Random(seed)
     report = MassCheckReport(s=s, i0=i0, i_max=i_max, a_constant=0.0)
     log_a, log_a_depth = -math.inf, i0
+    # Every endpoint drawn at depth i is a numerator over den = 10^9 (i+1)!:
+    # anchors k/(i+1)!, the half-cylinder shift, widths
+    # (1000 + i r)/(1000 (i+1)!) and offsets u/10^6.  1/(i+1)! is `unit`.
+    unit = 10**9
     for i in range(i0, i_max):
-        m_fact = factorial(i + 1)
-        rho_i = Fraction(1, factorial(i))
-        rho_next = Fraction(1, m_fact)
-        count_next = count_cylinders(constraints, i + 1)
+        cylinders = profile(CylinderProfile, constraints, i + 1)
+        m_fact = cylinders.depth_fact
+        den = unit * m_fact
+        rho_i = (i + 1) * unit  # 1/i!
         log_chain_i = log_chain_coefficient(constraints, i, s)
-        candidates: list[tuple[Fraction, Fraction]] = []
+        candidates: list[tuple[int, int]] = []
         # Cylinder-aligned edge cases: B straddling an anchor is where the
         # +2 in the covering count earns its keep.
-        anchor = Fraction(rng.randrange(m_fact), m_fact)
+        anchor = rng.randrange(m_fact) * unit
         candidates.append((anchor, anchor + rho_i))
-        half = rho_next / 2
+        half = unit // 2
         candidates.append((anchor - half, anchor - half + rho_i))
         # Mass-carrying anchors: the zero cylinder and a random in-E anchor,
         # so sparse constraint sets still contribute to the empirical constant.
-        candidates.append((Fraction(0), rho_i))
+        candidates.append((0, rho_i))
         digits = tuple(map(rng.randrange, constraints.allowed_digit_counts(i + 1)))
-        e_anchor = Fraction(FactoradicReal(digits).numerator, m_fact)
+        e_anchor = FactoradicReal(digits).numerator * unit
         candidates.append((e_anchor, e_anchor + rho_i))
         while len(candidates) < INTERVALS_PER_DEPTH:
-            width = rho_next + (rho_i - rho_next) * Fraction(rng.randrange(1, 1000), 1000)
-            lo = Fraction(rng.randrange(10**6), 10**6) * (1 - width)
+            width = (1000 + i * rng.randrange(1, 1000)) * 10**6
+            lo = rng.randrange(10**6) * ((den - width) // 10**6)  # both multiples of 10^6
             candidates.append((lo, lo + width))
-        for b_lo, b_hi in candidates:
-            b_lo = max(b_lo, Fraction(0))
-            b_hi = min(b_hi, Fraction(1))
-            width = b_hi - b_lo
-            if not (rho_next < width <= rho_i):
+        for lo, hi in candidates:
+            lo, hi = max(lo, 0), min(hi, den)
+            width = hi - lo
+            if not (unit < width <= rho_i):
                 continue
+            b_lo, b_hi = Fraction(lo, den), Fraction(hi, den)
             mu, hits = covering_measure(constraints, b_lo, b_hi, i + 1)
             report.intervals_tested += 1
-            covering_bound = Fraction(width.numerator * m_fact // width.denominator + 2, count_next)
+            # The covering bound (|B| (i+1)! + 2) / count(i+1), times count(i+1).
+            covering_count = width // unit + 2
             log_mu = _log(mu) if mu else -math.inf
-            log_width = _log(width)
+            log_width = _log(Fraction(width, den))
             log_chain = log_chain_i + s * log_width
             # 1e-12: the relative slack of the chain comparison, as a log.
-            if mu > covering_bound or log_mu > log_chain + 1e-12:
-                bound = min(float(covering_bound), math.exp(log_chain))
+            if (mu.numerator * cylinders.count > covering_count * mu.denominator
+                    or log_mu > log_chain + 1e-12):
+                bound = min(covering_count / cylinders.count, math.exp(log_chain))
                 report.violations.append(MassViolation(i, b_lo, b_hi, mu, bound))
             if log_mu - s * log_width > log_a:
                 log_a, log_a_depth = log_mu - s * log_width, i

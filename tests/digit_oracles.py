@@ -6,7 +6,9 @@ measure from the paper that the package's exact counts supersede
 (`count_lower_bound`, `measure_of_cylinder`), or a value builder
 (`from_digit_map`).  The `*_by_caps` forms and `encode_greedy` are the
 position-by-position loops that the allowed-digit table and the integer
-X = floor(x depth!) replaced.
+X = floor(x depth!) replaced; `anchors_below_by_digits` is the digit walk
+that the segment walk replaced, and `mass_check_by_fractions` the
+Fraction interval loop that the integer one replaced.
 """
 
 import math
@@ -22,7 +24,14 @@ from besum.construction import (
     _bound_series,
     membership,
 )
-from besum.dimension import count_cylinders
+from besum.dimension import (
+    INTERVALS_PER_DEPTH,
+    MassCheckReport,
+    MassViolation,
+    _log,
+    count_cylinders,
+    log_chain_coefficient,
+)
 from besum.expsum import e
 from besum.factoradic import FactoradicReal, InsufficientDepthError, Tail, Trit, decode
 
@@ -155,6 +164,90 @@ def covering_measure_by_anchors(
         cap = constraints.cap_for_position(m)
         count *= m if cap is None else min(m - 1, cap) + 1
     return Fraction(in_e, count), hits
+
+
+def anchors_below_by_digits(counts: list[int], k: int) -> int:
+    """#{0 <= k' < k : k'/depth! in E u {0}}, one digit of k at a time, where counts
+    holds the allowed digit counts at positions 2..depth.
+
+    Walks k's digits from position depth (least significant) up to 2.  A
+    digit over its cap at position m drops what the positions after m
+    added: no anchor that shares k's digits through m is a member.  k >=
+    depth! (a nonzero quotient left over) counts every member.
+    """
+    below = 0
+    completions = 1  # prod of counts at the positions after m
+    for m in range(len(counts) + 1, 1, -1):
+        k, digit = divmod(k, m)
+        allowed = counts[m - 2]
+        if digit >= allowed:
+            below = allowed * completions
+        else:
+            below += digit * completions
+        completions *= allowed
+    return completions if k else below
+
+
+def covering_measure_by_digits(
+    constraints: DigitConstraintSet, b_lo: Fraction, b_hi: Fraction, depth: int
+) -> tuple[Fraction, int]:
+    """covering_measure with both end anchors counted digit by digit."""
+    m_fact = factorial(depth)
+    k_lo = max(0, b_lo.numerator * m_fact // b_lo.denominator)
+    k_hi = min(m_fact - 1, -(-b_hi.numerator * m_fact // b_hi.denominator) - 1)
+    hits = max(0, k_hi - k_lo + 1)
+    in_e = 0
+    if hits:
+        counts = constraints.allowed_digit_counts(depth)
+        in_e = anchors_below_by_digits(counts, k_hi + 1) - anchors_below_by_digits(counts, k_lo)
+    return Fraction(in_e, count_cylinders(constraints, depth)), hits
+
+
+def mass_check_by_fractions(
+    constraints: DigitConstraintSet, s: float, i0: int, i_max: int, seed: int = 0
+) -> MassCheckReport:
+    """mass_check with every endpoint, clamp, width test and bound a Fraction, and
+    mu(B) from covering_measure_by_digits; the same random draws in the same order."""
+    rng = random.Random(seed)
+    report = MassCheckReport(s=s, i0=i0, i_max=i_max, a_constant=0.0)
+    log_a = -math.inf
+    for i in range(i0, i_max):
+        m_fact = factorial(i + 1)
+        rho_i = Fraction(1, factorial(i))
+        rho_next = Fraction(1, m_fact)
+        count_next = count_cylinders(constraints, i + 1)
+        log_chain_i = log_chain_coefficient(constraints, i, s)
+        candidates: list[tuple[Fraction, Fraction]] = []
+        anchor = Fraction(rng.randrange(m_fact), m_fact)
+        candidates.append((anchor, anchor + rho_i))
+        half = rho_next / 2
+        candidates.append((anchor - half, anchor - half + rho_i))
+        candidates.append((Fraction(0), rho_i))
+        digits = tuple(map(rng.randrange, constraints.allowed_digit_counts(i + 1)))
+        e_anchor = Fraction(FactoradicReal(digits).numerator, m_fact)
+        candidates.append((e_anchor, e_anchor + rho_i))
+        while len(candidates) < INTERVALS_PER_DEPTH:
+            width = rho_next + (rho_i - rho_next) * Fraction(rng.randrange(1, 1000), 1000)
+            lo = Fraction(rng.randrange(10**6), 10**6) * (1 - width)
+            candidates.append((lo, lo + width))
+        for b_lo, b_hi in candidates:
+            b_lo = max(b_lo, Fraction(0))
+            b_hi = min(b_hi, Fraction(1))
+            width = b_hi - b_lo
+            if not (rho_next < width <= rho_i):
+                continue
+            mu, _ = covering_measure_by_digits(constraints, b_lo, b_hi, i + 1)
+            report.intervals_tested += 1
+            covering_bound = Fraction(width.numerator * m_fact // width.denominator + 2, count_next)
+            log_mu = _log(mu) if mu else -math.inf
+            log_width = _log(width)
+            log_chain = log_chain_i + s * log_width
+            if mu > covering_bound or log_mu > log_chain + 1e-12:
+                bound = min(float(covering_bound), math.exp(log_chain))
+                report.violations.append(MassViolation(i, b_lo, b_hi, mu, bound))
+            log_a = max(log_a, log_mu - s * log_width)
+    report.a_constant = math.exp(log_a)
+    return report
 
 
 def frac_factorial_by_digits(m: int, f: FactoradicReal) -> tuple[Fraction, Fraction]:

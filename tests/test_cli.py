@@ -1,5 +1,7 @@
+import csv
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import besum
-from besum.cli import _json_text, main
+from besum.cli import _csv_text, _json_text, main
 from besum.construction import FactoradicProfile, RationalProfile, get_growth, profile
 from besum.dimension import condition_ii_check
 from besum.expsum import RootSums
@@ -59,6 +61,25 @@ class TestSumVerb:
         result = runner.invoke(main, ["sum", "--f", "n2", "--alpha-digits", str(digits), "--N", "5"])
         assert result.exit_code == 0, result.output
         assert "phase_error" in result.output
+
+    def test_a_field_with_a_comma_or_quote_is_quoted(self, runner, tmp_path):
+        digits = write_sample_digits(tmp_path / 'a,"b".digits')
+        result = runner.invoke(main, ["sum", "--f", "n2", "--alpha-digits", str(digits), "--N", "2"])
+        assert result.exit_code == 0, result.output
+        table = [ln for ln in result.output.splitlines() if not ln.startswith("#")]
+        header, *rows = csv.reader(table)
+        assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+        assert {row[header.index("alpha_digits_file")] for row in rows} == {str(digits)}
+        assert f'"{str(digits).replace(chr(34), 2 * chr(34))}"' in table[1]
+
+    @pytest.mark.parametrize("records, text", [
+        ([["a", "b"], ["1", "2.5"]], "a,b\n1,2.5"),
+        ([["a", "b"], ["x\ny", 'q"'], ["1,2", "\r"], ['"', ","]],
+         'a,b\n"x\ny","q"""\n"1,2","\r"\n"""",","'),
+    ])
+    def test_csv_text_quotes_only_fields_with_a_separator_or_quote(self, records, text):
+        assert _csv_text(records) == text
+        assert list(csv.reader(io.StringIO(text, newline=""))) == records
 
     def test_alpha_xor_digits_required(self, runner):
         result = runner.invoke(main, ["sum", "--N", "10"])

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besum.construction import DigitConstraintSet, get_growth, get_weights
+import digit_oracles
+from besum import dimension
+from besum.construction import DigitConstraintSet, get_growth, get_weights, profile
 from besum.dimension import (
+    CylinderProfile,
     condition_ii_check,
     count_cylinders,
     covering_measure,
@@ -19,10 +22,12 @@ from besum.dimension import (
 )
 from besum.factoradic import FactoradicReal, encode
 from digit_oracles import (
+    anchors_below_by_digits,
     count_lower_bound,
     covering_measure_by_anchors,
     enumerate_cylinder_digits,
     from_digit_map,
+    mass_check_by_fractions,
     measure_of_cylinder,
 )
 
@@ -156,6 +161,32 @@ class TestCylinderIndexing:
         assert covering_measure(constraints, b_lo, b_hi, depth) == \
             covering_measure_by_anchors(constraints, b_lo, b_hi, depth)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_segment_walk_equals_the_digit_walk(self, data):
+        f = data.draw(st.sampled_from(("identity", "n2", "n3", "pow2")))
+        weights = data.draw(st.sampled_from(("n2", "pow2", "nfact", "one")))
+        depth = data.draw(st.integers(2, 60))
+        m_fact = factorial(depth)
+        # k = 0, k = depth! and past it (every member counted), and anywhere between.
+        k = data.draw(st.sampled_from((0, 1, m_fact - 1, m_fact)) | st.integers(0, m_fact)
+                      | st.integers(m_fact + 1, 3 * m_fact))
+        constraints = (unconstrained() if weights == "one"
+                       else DigitConstraintSet(get_growth(f), get_weights(weights)))
+        assert CylinderProfile(constraints, depth).anchors_below(k) == \
+            anchors_below_by_digits(constraints.allowed_digit_counts(depth), k)
+
+    def test_segments_are_capped_positions_and_runs(self):
+        # f = n2 caps the positions 5, 10, 17, ..., 170 below depth 180; the
+        # positions 2..4 (cap 2 at position 2 allows both digits) and each gap
+        # between caps are one run: 12 capped positions and 13 runs.
+        assert len(CylinderProfile(E_N2, 180).segments) == 25
+        # f = identity caps every position from 3 on: no run is longer than one.
+        e_id = DigitConstraintSet(F_ID, get_weights("n2"))
+        assert len(CylinderProfile(e_id, 40).segments) == 39
+        # Nothing excluded: the whole of 2..depth is one run of radix depth!.
+        assert CylinderProfile(unconstrained(), 30).segments == [(factorial(30), factorial(30))]
+
     def test_covering_measure_cost_does_not_grow_with_the_interval(self):
         # ~10^6 depth-12 cylinders: the anchor-by-anchor count takes seconds.
         b_lo = Fraction(1, 3)
@@ -215,6 +246,53 @@ class TestMassCheck:
     def test_a_constant_below_the_float_range_is_an_error(self):
         with pytest.raises(ValueError, match=r"depth 330, s = 0\.5\).*outside the normal float"):
             mass_check(E_N2, 0.5, 330, 331, seed=3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=st.sampled_from(("identity", "n2", "n3", "pow2")),
+           a=st.sampled_from(("n2", "pow2", "nfact")), s=st.floats(0.05, 0.95),
+           i0=st.integers(2, 30), span=st.integers(1, 5), seed=st.integers(0, 10**6))
+    def test_integer_loop_equals_the_fraction_loop(self, f, a, s, i0, span, seed):
+        constraints = DigitConstraintSet(get_growth(f), get_weights(a))
+        assert mass_check(constraints, s, i0, i0 + span, seed).to_json_dict() == \
+            mass_check_by_fractions(constraints, s, i0, i0 + span, seed).to_json_dict()
+
+    @pytest.mark.parametrize("f, a, s, i0, i_max, seed", [
+        ("n2", "n2", 0.5, 3, 9, 5), ("identity", "nfact", 0.9, 2, 12, 1),
+        ("pow2", "pow2", 0.3, 20, 26, 8),
+    ])
+    def test_violations_agree_with_the_fraction_loop(self, monkeypatch, f, a, s, i0, i_max, seed):
+        # mu(B) <= a |B|^s holds for every registered f and a (the paper's
+        # lemma), so a chain coefficient lowered by e^12 makes the violations.
+        chain = dimension.log_chain_coefficient
+        lowered = lambda *args: chain(*args) - 12.0  # noqa: E731
+        monkeypatch.setattr(digit_oracles, "log_chain_coefficient", lowered)
+        constraints = DigitConstraintSet(get_growth(f), get_weights(a))
+        expected = mass_check_by_fractions(constraints, s, i0, i_max, seed).to_json_dict()
+        monkeypatch.setattr(dimension, "log_chain_coefficient", lowered)
+        report = mass_check(constraints, s, i0, i_max, seed).to_json_dict()
+        assert report["violations"] and report == expected
+
+    def test_calls_covering_measure_once_per_interval(self, monkeypatch):
+        # The benchmark's tracer wraps dimension.covering_measure and
+        # count_cylinders by name and reads (mu, hits) from each call.
+        calls, counts = [], []
+        covering, count = dimension.covering_measure, dimension.count_cylinders
+
+        def counted_covering(*args):
+            calls.append(covering(*args))
+            return calls[-1]
+
+        def counted_count(*args):
+            counts.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(dimension, "covering_measure", counted_covering)
+        monkeypatch.setattr(dimension, "count_cylinders", counted_count)
+        profile.cache_clear()
+        report = mass_check(E_N2, 0.5, 3, 40, seed=2)
+        assert len(calls) == report.intervals_tested
+        assert all(type(mu) is Fraction and type(hits) is int for mu, hits in calls)
+        assert counts == [(E_N2, i + 1) for i in range(3, 40)]  # one count per depth
 
     def test_json_schema(self):
         report = mass_check(E_N2, 0.5, 3, 6, seed=1)
