@@ -151,15 +151,16 @@ def _emit(out: Path | None, text: str) -> None:
         raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _column_json(values: tuple) -> list[str] | None:
-    """Each value as json.dumps writes it, for a column of one scalar type; else None."""
+def _column_json(values: tuple) -> tuple | list[str] | None:
+    """Each value as a %s field that writes it as json.dumps does, for a column of one
+    scalar type; else None.  An int or a float is its own field: %s writes its repr."""
     kinds = set(map(type, values))
     if kinds == {float}:
         if not all(map(math.isfinite, values)):
             raise ValueError("Out of range float values are not JSON compliant")
-        return list(map(float.__repr__, values))
+        return values
     if kinds == {int}:
-        return list(map(int.__repr__, values))
+        return values
     if kinds == {str}:
         return list(map(json.encoder.encode_basestring_ascii, values))
     if kinds <= {bool, type(None)}:
@@ -172,28 +173,30 @@ def _records_json(rows: list) -> str | None:
 
     Flat records are dicts with the same str keys in the same order, each
     key's column of one scalar type (int, float, str, or bool and None).
-    Each column is encoded as json does it (int.__repr__, float.__repr__
-    after a finiteness check, encode_basestring_ascii) and one %-template
-    writes every row: the same text as the pure-Python encoder that
+    Each column is encoded as json does it (repr for an int, and for a
+    float after a finiteness check; encode_basestring_ascii for a str),
+    laid row by row into one flat list, and one %-template of every row
+    fills in all of it: the same text as the pure-Python encoder that
     indent=2 selects, several times faster.
     """
     if set(map(type, rows)) != {dict}:
         return None
-    key_orders = set(map(tuple, rows))
-    if len(key_orders) != 1:
-        return None
-    keys = key_orders.pop()
+    keys = tuple(rows[0])
     if not keys or not all(type(k) is str for k in keys):
         return None
-    columns = []
-    for values in zip(*map(dict.values, rows)):
+    if not all(map(keys.__eq__, map(tuple, rows))):
+        return None
+    fields = [None] * (len(rows) * len(keys))
+    # zip makes each column at its final size: columns grown from an iterator
+    # (operator.itemgetter) raised cylinder-measure's peak RSS from 61 to 139 MB.
+    for i, values in enumerate(zip(*map(dict.values, rows))):
         column = _column_json(values)
         if column is None:
             return None
-        columns.append(column)
-    fields = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in keys)
-    template = "    {\n" + ",\n".join(f"      {k}: %s" for k in fields) + "\n    }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+        fields[i :: len(keys)] = column
+    names = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in keys)
+    record = "    {\n" + ",\n".join(f"      {k}: %s" for k in names) + "\n    }"
+    return "[\n" + ",\n".join([record] * len(rows)) % tuple(fields) + "\n  ]"
 
 
 def _json_text(doc: dict) -> str:

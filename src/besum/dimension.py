@@ -26,7 +26,9 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from operator import truediv
 
 from .construction import DigitConstraintSet, GrowthFunction, profile
 from .factoradic import FactoradicReal
@@ -248,17 +250,21 @@ def mass_check(
 def dimension_lower_estimate(
     constraints: DigitConstraintSet, j_max: int
 ) -> list[tuple[int, float]]:
-    """(j, log count / log j!) for j = 2..j_max: the full-dimension proxy series."""
+    """(j, log count / log j!) for j = 2..j_max: the full-dimension proxy series.
+
+    Both logs are running sums over positions m = 2..j.  An uncapped
+    position allows all m digits, so its log m serves both sums: one log
+    per position, and a second only at the capped positions f(i)+1.
+    """
     if j_max < 4:
         raise ValueError("j_max must be >= 4")
-    out = []
-    log_count = 0.0
-    log_fact = 0.0
-    for m, allowed in enumerate(constraints.allowed_digit_counts(j_max), start=2):
-        log_count += math.log(allowed)
-        log_fact += math.log(m)
-        out.append((m, log_count / log_fact))
-    return out
+    positions = range(2, j_max + 1)
+    log_m = list(map(math.log, positions))
+    log_allowed = log_m.copy()
+    counts = constraints.allowed_digit_counts(j_max)
+    for m in constraints.constrained_positions(j_max):
+        log_allowed[m - 2] = math.log(counts[m - 2])
+    return list(zip(positions, map(truediv, accumulate(log_allowed), accumulate(log_m))))
 
 
 def condition_ii_check(

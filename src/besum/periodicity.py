@@ -11,12 +11,21 @@ A sequence is held once as values and once as a small-integer code
 array (`CoefficientSequence.codes`).  Period detection and the collapse
 test compare codes; sector sums read the alphabet's complex values
 through them, summed in sqrt(A)-sized blocks (see `sector_eval`).
+
+A coefficient file is run-length encoded over a handful of distinct
+tokens, so `read_coeffs_file` costs one dict lookup per token (the id of
+its distinct token) and one `np.repeat` of the distinct tokens' codes,
+and of their values, by their counts; each distinct token is parsed and
+checked once.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import InitVar, dataclass, field
+from itertools import count
 from typing import TextIO
 
 import numpy as np
@@ -44,27 +53,34 @@ class CoefficientSequence:
     `codes[n]` is the index of a_n in it (the smallest unsigned dtype that
     fits).  Values that compare equal, such as 1 and 1+0j, share a code.
     Neither takes part in == or repr.
+
+    `runs` = (run values, run ids, run lengths) says that the values are
+    run_values[run_ids[t]] repeated run_lengths[t] times, t in order, so
+    the codes take one alphabet lookup per run value and one `np.repeat`.
+    Without it each value is a run of length 1.
     """
 
     values: tuple
     alphabet: frozenset = field(default=None)  # type: ignore[assignment]
+    runs: InitVar[tuple | None] = None
     codes: np.ndarray = field(init=False, repr=False, compare=False)
     symbols: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, runs):
         if not self.values or self.values[0] != 0:
             raise ValueError("coefficient sequences start with a_0 = 0")
         if self.alphabet is None:
             object.__setattr__(self, "alphabet", frozenset(self.values))
+        run_values, run_ids, run_lengths = (self.values, slice(None), 1) if runs is None else runs
         order = sorted(self.alphabet, key=str)
         index = {v: i for i, v in enumerate(order)}
         dtype = np.min_scalar_type(len(order) - 1)
         try:
-            codes = np.fromiter(map(index.__getitem__, self.values), dtype, len(self.values))
+            run_codes = np.fromiter(map(index.__getitem__, run_values), dtype, len(run_values))
         except KeyError:
-            bad = set(self.values) - set(self.alphabet)
+            bad = set(run_values) - set(self.alphabet)
             raise ValueError(f"values outside the declared alphabet: {sorted(map(str, bad))}") from None
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "codes", np.repeat(run_codes[run_ids], run_lengths))
         object.__setattr__(self, "symbols", np.array([_as_complex(v) for v in order]))
 
     def __len__(self) -> int:
@@ -229,7 +245,8 @@ def period_collapse_test(c: CoefficientSequence, preperiod: int, period: int) ->
 #   <count>*<value> <count>*<value> ...      (run-length encoded, a_0 first)
 #
 # Counts are integers >= 1, and the runs together hold at most
-# COEFFS_MAX_LENGTH values (ResourceBudgetError past it).
+# COEFFS_MAX_LENGTH values (ResourceBudgetError past it).  Values are
+# Python ints or complex numbers; NaN is refused.
 
 COEFFS_MAGIC = "coeffs v1"
 
@@ -238,7 +255,10 @@ def _parse_value(tok: str):
     try:
         return int(tok)
     except ValueError:
-        return complex(tok)
+        value = complex(tok)
+    if cmath.isnan(value):
+        raise ValueError(f"value {tok!r} is NaN, not a number a coefficient can take")
+    return value
 
 
 def write_coeffs_file(c: CoefficientSequence, fp: TextIO) -> None:
@@ -256,28 +276,50 @@ def write_coeffs_file(c: CoefficientSequence, fp: TextIO) -> None:
 
 
 def read_coeffs_file(fp: TextIO) -> CoefficientSequence:
+    """The sequence a `coeffs v1` file holds, built per distinct token (see the module doc).
+
+    Errors are those of a reader going token by token: the first bad token
+    wins unless the runs before it already pass COEFFS_MAX_LENGTH.
+    """
     lines = [ln.strip() for ln in fp if ln.strip()]
     if not lines or lines[0] != COEFFS_MAGIC:
         raise ValueError(f"missing '{COEFFS_MAGIC}' header")
     if len(lines) < 3 or not lines[1].startswith("alphabet "):
         raise ValueError("missing alphabet declaration")
-    alphabet = frozenset(_parse_value(t) for t in lines[1].split()[1:])
-    values: list = []
-    runs: dict[str, list] = {}  # token -> its run of values: each distinct token is parsed once
-    for tok in " ".join(lines[2:]).split():
-        run = runs.get(tok)
-        if run is None:
+    alphabet = frozenset(map(_parse_value, lines[1].split()[1:]))
+    tokens = " ".join(lines[2:]).split()
+    distinct = defaultdict(count().__next__)  # token -> its id, in order of first appearance
+    id_type = np.min_scalar_type(len(tokens))  # every id is below the token count
+    ids = np.fromiter(map(distinct.__getitem__, tokens), id_type, len(tokens))
+    del lines, tokens  # freed before the per-value arrays are built
+    parsed = []  # (count, value) of each distinct token
+    try:
+        for tok in distinct:
             count_s, _, val_s = tok.partition("*")
-            count = int(count_s)
-            if count < 1:
+            n = int(count_s)
+            if n < 1:
                 raise ValueError(f"run {tok!r}: the count must be >= 1")
-            if count > COEFFS_MAX_LENGTH:  # before the run is allocated
-                raise _over_length_limit(count)
-            run = runs[tok] = [_parse_value(val_s)] * count
-        values += run
-        if len(values) > COEFFS_MAX_LENGTH:
-            raise _over_length_limit(len(values))
-    return CoefficientSequence(tuple(values), alphabet)
+            if n > COEFFS_MAX_LENGTH:
+                raise _over_length_limit(n)
+            parsed.append((n, _parse_value(val_s)))
+    except (ValueError, ResourceBudgetError):
+        first_bad = int(np.argmax(ids == len(parsed)))
+        _check_length(np.array([n for n, _ in parsed], np.int64)[ids[:first_bad]])
+        raise
+    run_counts, run_values = zip(*parsed)
+    lengths = np.array(run_counts, np.int64)[ids]
+    _check_length(lengths)
+    run_values = np.array(run_values, dtype=object)
+    values = tuple(np.repeat(run_values[ids], lengths))
+    return CoefficientSequence(values, alphabet, runs=(run_values, ids, lengths))
+
+
+def _check_length(lengths: np.ndarray) -> None:
+    """ResourceBudgetError, at the first run that ends past COEFFS_MAX_LENGTH, if any does."""
+    ends = np.cumsum(lengths)
+    over = int(np.searchsorted(ends, COEFFS_MAX_LENGTH, side="right"))
+    if over < len(ends):
+        raise _over_length_limit(int(ends[over]))
 
 
 def _over_length_limit(length: int) -> ResourceBudgetError:

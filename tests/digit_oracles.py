@@ -7,8 +7,10 @@ measure from the paper that the package's exact counts supersede
 (`from_digit_map`).  The `*_by_caps` forms and `encode_greedy` are the
 position-by-position loops that the allowed-digit table and the integer
 X = floor(x depth!) replaced; `anchors_below_by_digits` is the digit walk
-that the segment walk replaced, and `mass_check_by_fractions` the
-Fraction interval loop that the integer one replaced.
+that the segment walk replaced, `mass_check_by_fractions` the
+Fraction interval loop that the integer one replaced, and
+`dimension_lower_estimate_by_positions` the two-logs-per-position loop
+that one log per position replaced.
 """
 
 import math
@@ -307,3 +309,17 @@ def bound_series_by_terms(f: GrowthFunction, a: WeightSequence, n_terms: int) ->
     for n in range(1, n_terms + 1):
         acc += Fraction(1, a(n)) + E_UPPER / (f(n) + 1)
     return acc
+
+
+def dimension_lower_estimate_by_positions(
+    constraints: DigitConstraintSet, j_max: int
+) -> list[tuple[int, float]]:
+    """dimension_lower_estimate with two logs at every position: log allowed(m) and log m."""
+    out = []
+    log_count = 0.0
+    log_fact = 0.0
+    for m, allowed in enumerate(constraints.allowed_digit_counts(j_max), start=2):
+        log_count += math.log(allowed)
+        log_fact += math.log(m)
+        out.append((m, log_count / log_fact))
+    return out

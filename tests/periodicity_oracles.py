@@ -1,16 +1,24 @@
 """Direct reference computations for besum.periodicity that only the tests use.
 
 Each one is the textbook form of something the package computes another
-way (codes, blocked sums), so the tests can compare the two, or builds
-a test sequence (`ultimately_periodic`, `from_indicator`).
+way (codes, blocked sums, the coefficient-file reader), so the tests can
+compare the two, or builds a test sequence (`ultimately_periodic`,
+`from_indicator`).
 """
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from besum.periodicity import CoefficientSequence, SectorSpec
+from besum import periodicity
+from besum.periodicity import (
+    COEFFS_MAGIC,
+    CoefficientSequence,
+    SectorSpec,
+    _over_length_limit,
+    _parse_value,
+)
 
 
 def ultimately_periodic(preperiod: Sequence, block: Sequence, length: int) -> CoefficientSequence:
@@ -81,3 +89,30 @@ def detect_ultimate_period_by_scan(
         if k_min <= max_preperiod and (best is None or (k_min, q) < best):
             best = (k_min, q)
     return best
+
+
+def read_coeffs_by_tokens(fp: TextIO) -> CoefficientSequence:
+    """read_coeffs_file token by token: each run's values appended to one list, the
+    length checked after each token, and the codes built value by value."""
+    lines = [ln.strip() for ln in fp if ln.strip()]
+    if not lines or lines[0] != COEFFS_MAGIC:
+        raise ValueError(f"missing '{COEFFS_MAGIC}' header")
+    if len(lines) < 3 or not lines[1].startswith("alphabet "):
+        raise ValueError("missing alphabet declaration")
+    alphabet = frozenset(_parse_value(t) for t in lines[1].split()[1:])
+    values: list = []
+    runs: dict[str, list] = {}  # token -> its run of values: each distinct token is parsed once
+    for tok in " ".join(lines[2:]).split():
+        run = runs.get(tok)
+        if run is None:
+            count_s, _, val_s = tok.partition("*")
+            count = int(count_s)
+            if count < 1:
+                raise ValueError(f"run {tok!r}: the count must be >= 1")
+            if count > periodicity.COEFFS_MAX_LENGTH:  # before the run is allocated
+                raise _over_length_limit(count)
+            run = runs[tok] = [_parse_value(val_s)] * count
+        values += run
+        if len(values) > periodicity.COEFFS_MAX_LENGTH:
+            raise _over_length_limit(len(values))
+    return CoefficientSequence(tuple(values), alphabet)

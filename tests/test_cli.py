@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -561,12 +562,20 @@ _SCALARS = st.one_of(_SCALAR_KINDS)
 
 @st.composite
 def _record_lists(draw):
-    """Lists of flat records: one scalar kind per column, or anything per column."""
-    keys = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    """Lists of flat records: one scalar kind per column, or anything per column.
+
+    Keys may hold the template's own characters (% and "), and a list may run
+    to hundreds of rows, as dimension's series does: its drawn rows repeated."""
+    key = st.one_of(st.text(max_size=6), st.text(alphabet='%"s\\ab', min_size=1, max_size=6))
+    keys = draw(st.lists(key, min_size=1, max_size=4, unique=True))
     columns = [draw(st.sampled_from([*_SCALAR_KINDS, _SCALARS]))
                for _ in keys]
     n_rows = draw(st.integers(0, 6))
-    return [{k: draw(col) for k, col in zip(keys, columns)} for _ in range(n_rows)]
+    rows = [{k: draw(col) for k, col in zip(keys, columns)} for _ in range(n_rows)]
+    if rows and draw(st.booleans()):
+        n_rows = draw(st.integers(100, 400))
+        rows = [dict(row) for row in itertools.islice(itertools.cycle(rows), n_rows)]
+    return rows
 
 
 _VALUES = st.recursive(
@@ -640,6 +649,16 @@ def test_bad_run_counts_exit_cleanly(runner, tmp_path, verb, token, code, messag
     assert result.exit_code == code, result.output
     assert message in result.output and "Traceback" not in result.output
     assert not isinstance(result.exception, (OverflowError, MemoryError))
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGS))
+@pytest.mark.parametrize("alphabet, runs", [("0 nan", "1*0 3*nan"), ("0 1", "1*0 6*1 3*nan")])
+def test_nan_coefficients_are_refused_by_name(runner, tmp_path, verb, alphabet, runs):
+    coeffs = tmp_path / "c.coeffs"
+    coeffs.write_text(f"coeffs v1\nalphabet {alphabet}\n{runs}\n")
+    result = runner.invoke(main, [verb, "--coeffs", str(coeffs), *_VERB_ARGS[verb]])
+    assert result.exit_code == 2, result.output
+    assert "'nan' is NaN" in result.output and "outside the declared alphabet" not in result.output
 
 
 @pytest.mark.parametrize("verb", sorted(_VERB_ARGS))

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 import digit_oracles
 from besum import dimension
-from besum.construction import DigitConstraintSet, get_growth, get_weights, profile
+from besum.construction import (
+    GROWTH_REGISTRY,
+    WEIGHT_REGISTRY,
+    DigitConstraintSet,
+    get_growth,
+    get_weights,
+    profile,
+)
 from besum.dimension import (
     CylinderProfile,
     condition_ii_check,
@@ -25,6 +32,7 @@ from digit_oracles import (
     anchors_below_by_digits,
     count_lower_bound,
     covering_measure_by_anchors,
+    dimension_lower_estimate_by_positions,
     enumerate_cylinder_digits,
     from_digit_map,
     mass_check_by_fractions,
@@ -313,6 +321,16 @@ class TestDimensionEstimate:
     def test_rejects_small_jmax(self):
         with pytest.raises(ValueError):
             dimension_lower_estimate(E_N2, 3)
+
+    @pytest.mark.parametrize("f", sorted(GROWTH_REGISTRY))
+    @pytest.mark.parametrize("a", sorted(WEIGHT_REGISTRY))
+    def test_series_is_bit_identical_to_two_logs_per_position(self, f, a):
+        constraints = DigitConstraintSet(get_growth(f), get_weights(a))
+        j_maxes = range(4, 301) if f != "n2" else [*range(4, 301), 5000]
+        for j_max in j_maxes:
+            fast = dimension_lower_estimate(constraints, j_max)
+            slow = dimension_lower_estimate_by_positions(constraints, j_max)
+            assert [(j, r.hex()) for j, r in fast] == [(j, r.hex()) for j, r in slow]
 
 
 class TestConditionII:

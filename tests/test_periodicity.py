@@ -2,6 +2,7 @@ import io
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from besum import periodicity
 from besum.construction import ResourceBudgetError
 from besum.periodicity import (
     CoefficientSequence,
@@ -24,6 +26,7 @@ from periodicity_oracles import (
     detect_ultimate_period_by_scan,
     from_indicator,
     partial_power_sum,
+    read_coeffs_by_tokens,
     sector_grid_direct,
     ultimately_periodic,
 )
@@ -372,3 +375,94 @@ class TestReaderRunCounts:
         assert len(read_coeffs_file(io.StringIO(text + "\n"))) == 91
         with pytest.raises(ResourceBudgetError, match="over the limit of 100"):
             read_coeffs_file(io.StringIO(text + "10*0\n"))
+
+
+# --- the reader per distinct token against the token-by-token oracle ----------
+
+# Spellings of values: equal values spelled apart (1, 1.0, (1+0j)), ints and
+# complex numbers, then values that no alphabet below declares, NaN and non-numbers.
+_SPELLINGS = ["0", "0j", "1", "1.0", "(1+0j)", "2", "-3", "1j", "(1+1j)", "-0.5", "2.5j"]
+_BAD_SPELLINGS = ["7", "nan", "x", ""]
+_ALPHABET_LINES = ["0 1", "0 1 2", "0 1j (1+1j) -0.5", "0 2 -3 1j 2.5j",
+                   "0 1 2 -3 1j (1+1j) 2.5j -0.5"]
+# Counts below 1 and counts that are not integers.
+_BAD_COUNTS = ["0", "-2", "1.5", "x", "", "2e1"]
+
+
+@st.composite
+def _rle_files(draw):
+    """A coeffs v1 file whose tokens are mostly good runs, one in ten a bad one."""
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 9)) == 5 else good))
+
+    tokens = [f"{pick(['1', '2', '3'], _BAD_COUNTS)}*{pick(['0', '0j'], _SPELLINGS)}"]
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 2)) == 0:
+            tokens.append(draw(st.sampled_from(tokens)))  # a token seen before
+        else:
+            count = pick([str(draw(st.integers(1, 40)))], _BAD_COUNTS)
+            tokens.append(f"{count}*{pick(_SPELLINGS, _BAD_SPELLINGS)}")
+    alphabet = pick(_ALPHABET_LINES, ["0 nan", "0 x"])
+    return f"coeffs v1\nalphabet {alphabet}\n{' '.join(tokens)}\n"
+
+
+def _read(reader, text):
+    try:
+        return reader(io.StringIO(text))
+    except (ValueError, ResourceBudgetError) as exc:
+        return exc
+
+
+def _assert_same_reading(text):
+    fast, slow = _read(read_coeffs_file, text), _read(read_coeffs_by_tokens, text)
+    if isinstance(slow, Exception):
+        assert (type(fast), str(fast)) == (type(slow), str(slow))
+        return
+    assert fast == slow
+    assert fast.codes.dtype == slow.codes.dtype and np.array_equal(fast.codes, slow.codes)
+    assert np.array_equal(fast.symbols, slow.symbols)
+    assert list(map(type, fast.values)) == list(map(type, slow.values))
+
+
+class TestReaderAgainstTokenOracle:
+    @settings(max_examples=250, deadline=None)
+    @given(text=_rle_files(), limit=st.one_of(st.integers(1, 400), st.just(10**7)))
+    def test_same_sequence_or_same_error(self, text, limit):
+        with mock.patch.object(periodicity, "COEFFS_MAX_LENGTH", limit):
+            _assert_same_reading(text)
+
+    # Each bad token's own error when the runs before it stay within the limit of 40.
+    # A value outside the alphabet is only found once every token is read, so the
+    # limit, crossed by the last run (31 + 2 + 30 values), wins over it.
+    @pytest.mark.parametrize("bad, own_error", [
+        ("0*1", "count must be >= 1"),
+        ("1.5*1", "invalid literal"),
+        ("x*1", "invalid literal"),
+        ("2*nan", "NaN"),
+        ("50*1", "at least 50 values"),
+        ("2*7", "at least 63 values"),
+    ])
+    @pytest.mark.parametrize("crossing_first", [True, False])
+    def test_the_first_error_in_token_order_wins(self, monkeypatch, bad, own_error,
+                                                 crossing_first):
+        monkeypatch.setattr(periodicity, "COEFFS_MAX_LENGTH", 40)
+        runs = "1*0 30*1 2*0 30*1" if crossing_first else "1*0 30*1"
+        text = f"coeffs v1\nalphabet 0 1\n{runs} {bad} 30*1\n"
+        _assert_same_reading(text)
+        error = _read(read_coeffs_file, text)
+        assert ("at least 63 values" if crossing_first else own_error) in str(error)
+
+    def test_equal_spellings_share_a_code_and_keep_their_types(self):
+        text = "coeffs v1\nalphabet 0 1\n1*0 2*1 1*1.0 3*(1+0j) 2*1 1*0j\n"
+        c = read_coeffs_file(io.StringIO(text))
+        assert c == read_coeffs_by_tokens(io.StringIO(text))
+        assert list(map(type, c.values)) == [int, int, int, complex, complex, complex, complex,
+                                             int, int, complex]
+        assert len(set(c.codes[1:9].tolist())) == 1
+
+    @pytest.mark.parametrize("alphabet, runs", [("0 nan", "1*0 3*nan"), ("0 1", "1*0 2*1 3*nan"),
+                                                ("0 1", "1*0 1*(1+nanj)")])
+    def test_nan_is_refused_where_it_is_parsed(self, alphabet, runs):
+        with pytest.raises(ValueError, match="NaN") as info:
+            read_coeffs_file(io.StringIO(f"coeffs v1\nalphabet {alphabet}\n{runs}\n"))
+        assert "outside the declared alphabet" not in str(info.value)
