@@ -17,6 +17,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import click
 
@@ -81,8 +82,9 @@ def verb(group: click.Group, name: str):
     end in the documented exit codes.  The function takes every other
     option but --out and returns one document, which `verb` writes to
     --out, or to stdout without it (_render): a list of row dicts is CSV,
-    its header the first row's keys; a dict is JSON; a FactoradicReal is a
-    digit file.  A verb that writes its own files returns None.
+    its header the first row's keys; a dict is JSON, with a Columns value
+    as its list of rows; a FactoradicReal is a digit file.  A verb that
+    writes its own files returns None.
     """
     def declare(fn):
         @functools.wraps(fn)
@@ -151,71 +153,52 @@ def _emit(out: Path | None, text: str) -> None:
         raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _column_json(values: tuple) -> tuple | list[str] | None:
-    """Each value as a %s field that writes it as json.dumps does, for a column of one
-    scalar type; else None.  An int or a float is its own field: %s writes its repr."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        if not all(map(math.isfinite, values)):
-            raise ValueError("Out of range float values are not JSON compliant")
-        return values
-    if kinds == {int}:
-        return values
-    if kinds == {str}:
-        return list(map(json.encoder.encode_basestring_ascii, values))
-    if kinds <= {bool, type(None)}:
-        return ["null" if v is None else "true" if v else "false" for v in values]
-    return None
+class Columns(NamedTuple):
+    """A table held as its columns: row r is {keys[k]: columns[k][r]}, every column
+    the same length and all ints or all floats (not bools)."""
+
+    keys: tuple[str, ...]
+    columns: tuple[Sequence, ...]
 
 
-def _records_json(rows: list) -> str | None:
-    """json.dumps(rows, indent=2) nested one level deep, for a list of flat records; else None.
+def _columns_json(table: Columns) -> str:
+    """json.dumps(rows, indent=2) of the table's rows, nested one level deep.
 
-    Flat records are dicts with the same str keys in the same order, each
-    key's column of one scalar type (int, float, str, or bool and None).
-    Each column is encoded as json does it (repr for an int, and for a
-    float after a finiteness check; encode_basestring_ascii for a str),
-    laid row by row into one flat list, and one %-template of every row
-    fills in all of it: the same text as the pure-Python encoder that
-    indent=2 selects, several times faster.
+    One %-template of every row fills in all the fields, laid row by row
+    into a list of their final size: %s writes an int or a float as its
+    repr, which is what json writes.  A float column is checked finite
+    first.  Grown from an iterator instead, such lists raised
+    cylinder-measure's peak RSS from 61 to 89-139 MB.
     """
-    if set(map(type, rows)) != {dict}:
-        return None
-    keys = tuple(rows[0])
-    if not keys or not all(type(k) is str for k in keys):
-        return None
-    if not all(map(keys.__eq__, map(tuple, rows))):
-        return None
-    fields = [None] * (len(rows) * len(keys))
-    # zip makes each column at its final size: columns grown from an iterator
-    # (operator.itemgetter) raised cylinder-measure's peak RSS from 61 to 139 MB.
-    for i, values in enumerate(zip(*map(dict.values, rows))):
-        column = _column_json(values)
-        if column is None:
-            return None
+    keys, columns = table
+    n_rows = len(columns[0])
+    if not n_rows:
+        return "[]"
+    for column in columns:
+        if type(column[0]) is float and not all(map(math.isfinite, column)):
+            raise ValueError("Out of range float values are not JSON compliant")
+    fields = [None] * (n_rows * len(keys))
+    for i, column in enumerate(columns):
         fields[i :: len(keys)] = column
     names = (json.encoder.encode_basestring_ascii(k).replace("%", "%%") for k in keys)
     record = "    {\n" + ",\n".join(f"      {k}: %s" for k in names) + "\n    }"
-    return "[\n" + ",\n".join([record] * len(rows)) % tuple(fields) + "\n  ]"
+    return "[\n" + ",\n".join([record] * n_rows) % tuple(fields) + "\n  ]"
 
 
 def _json_text(doc: dict) -> str:
-    """json.dumps(doc, indent=2, allow_nan=False), with lists of flat records written fast.
+    """json.dumps(doc, indent=2, allow_nan=False) of a doc with str keys, each Columns
+    value written as its list of rows.
 
-    indent=2 makes json use its pure-Python encoder; a long list of records
-    (dimension's series) spent most of its op there.  Strict JSON: a NaN or
+    A Columns value is written by one template (_columns_json): indent=2
+    makes json use its pure-Python encoder, where dimension's series of
+    tens of thousands of rows spent most of its op.  Strict JSON: a NaN or
     an infinity is an error (ValueError), not a non-standard constant.
     """
-    records = {k: text for k, v in doc.items() if type(v) is list and (text := _records_json(v))}
-    if not records:
-        return json.dumps(doc, indent=2, allow_nan=False)
-    items = []
-    for key, value in doc.items():
-        text = records.get(key)
-        if text is None:
-            text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
-        items.append(f"  {json.encoder.encode_basestring_ascii(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+    items = [f"  {json.encoder.encode_basestring_ascii(key)}: " + (
+        _columns_json(value) if type(value) is Columns
+        else json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+    ) for key, value in doc.items()]
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
 
 
 def _render(document: list[dict] | dict | FactoradicReal) -> str:
@@ -451,7 +434,8 @@ def dimension_cmd(f, a, jmax):
     constraints = DigitConstraintSet(get_growth(f), get_weights(a))
     _stop_if_dry_run()
     series = dimension_lower_estimate(constraints, jmax)
-    return {"series": [{"j": j, "ratio": r} for j, r in series]}
+    # zip(*series) makes both columns at their final size (see _columns_json).
+    return {"series": Columns(("j", "ratio"), tuple(zip(*series)))}
 
 
 @verb(main, "mass-check")

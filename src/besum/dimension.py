@@ -30,8 +30,14 @@ from itertools import accumulate
 from math import factorial
 from operator import truediv
 
-from .construction import DigitConstraintSet, GrowthFunction, profile
+from .construction import DigitConstraintSet, GrowthFunction, ResourceBudgetError, profile
 from .factoradic import FactoradicReal
+
+# Largest j_max dimension_lower_estimate accepts, and largest i_max for
+# condition_ii_check: each keeps float lists of that length, and the
+# dimension series prints 66 bytes a position (0.44 GB peak at the limit).
+DIMENSION_MAX_J = 10**6
+CONDITION_II_MAX_I = 10**6
 
 
 def count_cylinders(constraints: DigitConstraintSet, depth: int) -> int:
@@ -258,6 +264,9 @@ def dimension_lower_estimate(
     """
     if j_max < 4:
         raise ValueError("j_max must be >= 4")
+    if j_max > DIMENSION_MAX_J:  # before the per-position lists
+        raise ResourceBudgetError(f"j_max {j_max} is over the limit of {DIMENSION_MAX_J} "
+                                  "(dimension.DIMENSION_MAX_J)")
     positions = range(2, j_max + 1)
     log_m = list(map(math.log, positions))
     log_allowed = log_m.copy()
@@ -281,20 +290,20 @@ def condition_ii_check(
         raise ValueError("need 0 < eps < 1")
     if i_max < 1:
         raise ValueError("need i_max >= 1")
+    if i_max > CONDITION_II_MAX_I:  # before the series
+        raise ResourceBudgetError(f"i_max {i_max} is over the limit of {CONDITION_II_MAX_I} "
+                                  "(dimension.CONDITION_II_MAX_I)")
     series = []
     prod_log = 0.0
     fact_log = 0.0
-    j = 1
-    best = -math.inf
-    best_at = 0
+    j, fn = 1, f.fn
+    fj = fn(j)  # f(j), evaluated once per j, without GrowthFunction.__call__
     for i in range(1, i_max + 1):
         fact_log += math.log(i)
-        while f(j) <= i:
-            prod_log += math.log(f(j) + 1)
+        while fj <= i:
+            prod_log += math.log(fj + 1)
             j += 1
-        g = prod_log - eps * fact_log
-        series.append(g)
-        if g > best:
-            best = g
-            best_at = i
-    return best, best_at, series
+            fj = fn(j)
+        series.append(prod_log - eps * fact_log)
+    at = max(range(i_max), key=series.__getitem__)  # the first index at the max
+    return series[at], at + 1, series

@@ -7,33 +7,35 @@ constant (otherwise u has a pole at a nontrivial root of unity).  This
 module implements the computable side of that story: sector evaluation,
 period detection on finite prefixes, and the root-of-unity collapse test.
 
-A sequence is held once as values and once as a small-integer code
-array (`CoefficientSequence.codes`).  Period detection and the collapse
-test compare codes; sector sums read the alphabet's complex values
-through them, summed in sqrt(A)-sized blocks (see `sector_eval`).
+A sequence is held as a small-integer code array
+(`CoefficientSequence.codes`).  Period detection and the collapse test
+compare codes; sector sums read the alphabet's complex values through
+them, summed in sqrt(A)-sized blocks (see `sector_eval`).  The values
+themselves, one Python object per term, are built only when read.
 
 A coefficient file is run-length encoded over a handful of distinct
 tokens, so `read_coeffs_file` costs one dict lookup per token (the id of
-its distinct token) and one `np.repeat` of the distinct tokens' codes,
-and of their values, by their counts; each distinct token is parsed and
-checked once.
+its distinct token) and one `np.repeat` of the distinct tokens' codes by
+their counts; each distinct token is parsed and checked once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import defaultdict
-from dataclasses import InitVar, dataclass, field
-from itertools import count
+from dataclasses import dataclass
+from itertools import count, groupby
 from typing import TextIO
 
 import numpy as np
 
 from .construction import ResourceBudgetError
 
-# Longest coefficient file read_coeffs_file accepts: the values tuple costs
-# 8 bytes a term, so 10^7 terms take about 90 MB with the code array.
+# Longest coefficient file read_coeffs_file accepts: 10^7 terms take 10 MB
+# of codes (one byte a term for a small alphabet) and 80 MB more if their
+# values are read.
 COEFFS_MAX_LENGTH = 10**7
 
 
@@ -45,33 +47,29 @@ def _as_complex(v) -> complex:
         return complex(math.inf if v > 0 else -math.inf)
 
 
-@dataclass(frozen=True)
 class CoefficientSequence:
     """Finite prefix a_0..a_L over a declared finite alphabet; a_0 = 0.
 
     `symbols` is the alphabet as complex numbers, in a fixed order, and
     `codes[n]` is the index of a_n in it (the smallest unsigned dtype that
     fits).  Values that compare equal, such as 1 and 1+0j, share a code.
-    Neither takes part in == or repr.
+    ==, repr and hash are those of (values, alphabet).
 
     `runs` = (run values, run ids, run lengths) says that the values are
     run_values[run_ids[t]] repeated run_lengths[t] times, t in order, so
-    the codes take one alphabet lookup per run value and one `np.repeat`.
-    Without it each value is a run of length 1.
+    the codes take one alphabet lookup per run value and one `np.repeat`,
+    and the `values` tuple is built from the runs when first read.
+    Without runs, `values` is required and each value is a run of length 1.
     """
 
-    values: tuple
-    alphabet: frozenset = field(default=None)  # type: ignore[assignment]
-    runs: InitVar[tuple | None] = None
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
-    symbols: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, runs):
-        if not self.values or self.values[0] != 0:
+    def __init__(self, values: tuple | None, alphabet: frozenset | None = None,
+                 runs: tuple | None = None):
+        if runs is None:  # each value a run of length 1
+            self.values, runs = values, (values, np.arange(len(values)), 1)
+        run_values, run_ids, run_lengths = self._runs = runs
+        if not len(run_ids) or run_values[run_ids[0]] != 0:
             raise ValueError("coefficient sequences start with a_0 = 0")
-        if self.alphabet is None:
-            object.__setattr__(self, "alphabet", frozenset(self.values))
-        run_values, run_ids, run_lengths = (self.values, slice(None), 1) if runs is None else runs
+        self.alphabet = frozenset(run_values) if alphabet is None else alphabet
         order = sorted(self.alphabet, key=str)
         index = {v: i for i, v in enumerate(order)}
         dtype = np.min_scalar_type(len(order) - 1)
@@ -80,11 +78,27 @@ class CoefficientSequence:
         except KeyError:
             bad = set(run_values) - set(self.alphabet)
             raise ValueError(f"values outside the declared alphabet: {sorted(map(str, bad))}") from None
-        object.__setattr__(self, "codes", np.repeat(run_codes[run_ids], run_lengths))
-        object.__setattr__(self, "symbols", np.array([_as_complex(v) for v in order]))
+        self.codes = np.repeat(run_codes[run_ids], run_lengths)
+        self.symbols = np.array([_as_complex(v) for v in order])
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        run_values, run_ids, run_lengths = self._runs
+        return tuple(np.repeat(run_values[run_ids], run_lengths))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.alphabet) == (other.values, other.alphabet)
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.alphabet))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(values={self.values!r}, alphabet={self.alphabet!r})"
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.codes)
 
     def prefix(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
         """(a_0..a_A as complex numbers, the indices 0..A) for 0 <= A inside the prefix."""
@@ -264,14 +278,7 @@ def _parse_value(tok: str):
 def write_coeffs_file(c: CoefficientSequence, fp: TextIO) -> None:
     fp.write(f"{COEFFS_MAGIC}\n")
     fp.write("alphabet " + " ".join(str(v) for v in sorted(c.alphabet, key=str)) + "\n")
-    runs = []
-    i = 0
-    while i < len(c.values):
-        j = i
-        while j < len(c.values) and c.values[j] == c.values[i]:
-            j += 1
-        runs.append(f"{j - i}*{c.values[i]}")
-        i = j
+    runs = (f"{sum(1 for _ in run)}*{v}" for v, run in groupby(c.values))
     fp.write(" ".join(runs) + "\n")
 
 
@@ -309,9 +316,7 @@ def read_coeffs_file(fp: TextIO) -> CoefficientSequence:
     run_counts, run_values = zip(*parsed)
     lengths = np.array(run_counts, np.int64)[ids]
     _check_length(lengths)
-    run_values = np.array(run_values, dtype=object)
-    values = tuple(np.repeat(run_values[ids], lengths))
-    return CoefficientSequence(values, alphabet, runs=(run_values, ids, lengths))
+    return CoefficientSequence(None, alphabet, runs=(np.array(run_values, dtype=object), ids, lengths))
 
 
 def _check_length(lengths: np.ndarray) -> None:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import besum
-from besum.cli import _csv_text, _json_text, main
+from besum.cli import Columns, _csv_text, _json_text, main
 from besum.construction import FactoradicProfile, RationalProfile, get_growth, profile
 from besum.dimension import condition_ii_check
 from besum.expsum import RootSums
@@ -547,7 +547,21 @@ def test_condition_ii_needs_a_positive_range():
         condition_ii_check(get_growth("n2"), 0.5, 0)
 
 
-# --- JSON emission: the record template against json.dumps ---------------------
+@pytest.mark.parametrize("argv, limit", [
+    (["dimension", "--jmax"], "DIMENSION_MAX_J"),
+    (["cond-ii", "--f", "identity", "--eps", "0.5", "--imax"], "CONDITION_II_MAX_I"),
+])
+def test_sizes_past_their_limit_exit_3(runner, monkeypatch, argv, limit):
+    # The limit lowered to 100, so neither run allocates anything large.
+    monkeypatch.setattr(f"besum.dimension.{limit}", 100)
+    assert runner.invoke(main, [*argv, "100"]).exit_code == 0
+    result = runner.invoke(main, [*argv, "101"])
+    assert result.exit_code == 3, result.output
+    assert f"101 is over the limit of 100 (dimension.{limit})" in result.output
+    assert "Traceback" not in result.output
+
+
+# --- JSON emission: the column template against json.dumps --------------------
 
 _SCALAR_KINDS = [
     st.integers(min_value=-(10**30), max_value=10**30),
@@ -558,33 +572,62 @@ _SCALAR_KINDS = [
     st.none(),
 ]
 _SCALARS = st.one_of(_SCALAR_KINDS)
-
-
-@st.composite
-def _record_lists(draw):
-    """Lists of flat records: one scalar kind per column, or anything per column.
-
-    Keys may hold the template's own characters (% and "), and a list may run
-    to hundreds of rows, as dimension's series does: its drawn rows repeated."""
-    key = st.one_of(st.text(max_size=6), st.text(alphabet='%"s\\ab', min_size=1, max_size=6))
-    keys = draw(st.lists(key, min_size=1, max_size=4, unique=True))
-    columns = [draw(st.sampled_from([*_SCALAR_KINDS, _SCALARS]))
-               for _ in keys]
-    n_rows = draw(st.integers(0, 6))
-    rows = [{k: draw(col) for k, col in zip(keys, columns)} for _ in range(n_rows)]
-    if rows and draw(st.booleans()):
-        n_rows = draw(st.integers(100, 400))
-        rows = [dict(row) for row in itertools.islice(itertools.cycle(rows), n_rows)]
-    return rows
-
-
 _VALUES = st.recursive(
-    st.one_of(_SCALARS, _record_lists(), st.just([])),
+    st.one_of(_SCALARS, st.just([])),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(max_size=5), inner, max_size=3)),
     max_leaves=12,
 )
-_DOCS = st.dictionaries(st.text(max_size=8), st.one_of(_VALUES, _record_lists()), max_size=5)
+_DOCS = st.dictionaries(st.text(max_size=8), _VALUES, max_size=5)
+
+_INTS = st.integers(min_value=-(10**30), max_value=10**30)
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                    st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e308, -1e308]))
+
+
+@st.composite
+def _tables(draw):
+    """(keys, columns, float column indices): 1-3 columns, each all ints or all floats.
+
+    Keys may hold the template's own characters (% and "), and a table may run
+    to hundreds of rows, as dimension's series does: its drawn rows repeated."""
+    key = st.one_of(st.text(max_size=6), st.text(alphabet='%"s\\ab', min_size=1, max_size=6))
+    keys = draw(st.lists(key, min_size=1, max_size=3, unique=True))
+    kinds = [draw(st.sampled_from([_INTS, _FLOATS])) for _ in keys]
+    n_rows = draw(st.integers(0, 6))
+    columns = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    if n_rows and draw(st.booleans()):
+        n_rows = draw(st.integers(100, 400))
+        columns = [list(itertools.islice(itertools.cycle(c), n_rows)) for c in columns]
+    floats = [i for i, kind in enumerate(kinds) if kind is _FLOATS]
+    return tuple(keys), tuple(map(tuple, columns)), floats
+
+
+def _rows(keys, columns):
+    """The table's rows as json.dumps takes them: one dict per row."""
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(), before=_DOCS, after=_DOCS)
+def test_columns_are_written_as_json_dumps_writes_their_rows(table, before, after):
+    keys, columns, _ = table
+    doc = {**before, "series": Columns(keys, columns), **after}
+    rows_doc = {k: _rows(*v[:2]) if type(v) is Columns else v for k, v in doc.items()}
+    assert _json_text(doc) == json.dumps(rows_doc, indent=2, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=_tables().filter(lambda t: t[1][0] and t[2]), data=st.data())
+def test_columns_refuse_nan_and_infinity_anywhere_in_a_float_column(table, data):
+    keys, columns, floats = table
+    i = data.draw(st.sampled_from(floats))
+    row = data.draw(st.integers(0, len(columns[i]) - 1))
+    bad = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    columns = list(columns)
+    columns[i] = columns[i][:row] + (bad,) + columns[i][row + 1 :]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _json_text({"series": Columns(keys, tuple(columns))})
 
 
 @settings(max_examples=150, deadline=None)

@@ -377,6 +377,38 @@ class TestReaderRunCounts:
             read_coeffs_file(io.StringIO(text + "10*0\n"))
 
 
+# --- the values tuple, built only when read ------------------------------------
+
+
+class TestValuesBuiltWhenRead:
+    # Equal values spelled apart (1, 1.0, (1+0j)) keep their own types in `values`.
+    TEXT = ("coeffs v1\nalphabet 0 1 2.5 1j\n1*0 3*1 2*1.0 "
+            + "4*(1+0j) 5*2.5 2*1j 1*0 " * 12 + "\n")
+
+    def test_reading_and_both_verbs_build_no_values(self):
+        c = read_coeffs_file(io.StringIO(self.TEXT))
+        detect_ultimate_period(c, 8, 16)
+        sector_eval(c, SectorSpec(0.1, 0.4, (0.9, 0.99)), len(c) - 1)
+        assert "values" not in vars(c)  # functools.cached_property keeps it in the instance dict
+        assert len(c) == len(read_coeffs_by_tokens(io.StringIO(self.TEXT)))
+
+    def test_values_read_later_are_the_oracles(self):
+        c = read_coeffs_file(io.StringIO(self.TEXT))
+        direct = read_coeffs_by_tokens(io.StringIO(self.TEXT))  # values passed in whole
+        assert "values" not in vars(c)
+        assert type(c.values) is tuple and c.values == direct.values
+        assert list(map(type, c.values)) == list(map(type, direct.values))
+        assert c.values is c.values
+
+    def test_repr_hash_and_eq_are_those_of_the_direct_sequence(self):
+        direct = read_coeffs_by_tokens(io.StringIO(self.TEXT))
+        assert repr(read_coeffs_file(io.StringIO(self.TEXT))) == repr(direct)
+        assert hash(read_coeffs_file(io.StringIO(self.TEXT))) == hash(direct)
+        assert read_coeffs_file(io.StringIO(self.TEXT)) == direct
+        assert direct == read_coeffs_file(io.StringIO(self.TEXT))
+        assert read_coeffs_file(io.StringIO(self.TEXT)) != CoefficientSequence((0, 1))
+
+
 # --- the reader per distinct token against the token-by-token oracle ----------
 
 # Spellings of values: equal values spelled apart (1, 1.0, (1+0j)), ints and
