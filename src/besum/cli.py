@@ -281,7 +281,7 @@ def sum_cmd(f, alpha, alpha_digits, N):
     if isinstance(value, Fraction):
         p, q = value.numerator, value.denominator
         for n in _n_schedule(N):
-            _, trace = af_sum_rational(f, p, q, n)
+            trace = af_sum_rational(f, p, q, n)
             rows.append({
                 "alpha_num": p, "alpha_den": q, "N": n, "re": trace.re, "im": trace.im,
                 "modulus": trace.modulus, "empirical_sup": trace.sup_modulus,
@@ -316,7 +316,7 @@ def sup_sweep(f, qmax, N):
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
-            _, trace = af_sum_rational(f, p, q, N)
+            trace = af_sum_rational(f, p, q, N)
             rhs = eq4_rhs(f, p, q)
             tail_sup = profile(RationalProfile, f, p, q).tail_sup(N)
             rows.append({
@@ -450,7 +450,7 @@ def mass_check_cmd(f, a, s, i0, imax, seed):
     """Empirical mass-distribution check mu(B) <= a |B|^s."""
     constraints = DigitConstraintSet(get_growth(f), get_weights(a))
     _stop_if_dry_run()
-    return mass_check(constraints, s, i0, imax, seed=seed).to_json_dict()
+    return mass_check(constraints, s, i0, imax, seed=seed)
 
 
 @verb(main, "cond-ii")
@@ -493,7 +493,7 @@ def periodicity_cmd(coeffs, max_preperiod, max_period):
 @click.option("--A", "A", type=click.IntRange(min=1), required=True)
 @_OUT
 def sector_eval_cmd(coeffs, theta1, theta2, radii, n_theta, A):
-    """Max modulus of prefix power sums on a sector grid (prefix_sup semantics)."""
+    """Max modulus of sum_{n<=A} a_n z^n over the sector's r-theta grid."""
     with open(coeffs) as fp:
         sequence = read_coeffs_file(fp)
     r_grid = tuple(float(tok) for tok in radii.split(","))

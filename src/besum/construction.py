@@ -73,6 +73,27 @@ class WeightSequence:
         return self.fn(n)
 
 
+class _RunningFactorial:
+    """n!, formed from the last factorial it returned.
+
+    Every reader of the weights asks for n in increasing order
+    (BoundProfile, DigitConstraintSet._scan, the leaves of
+    _reciprocal_sum), so a pass to N takes N small multiplications
+    instead of N factorials.  A lower n is formed again from scratch.
+    """
+
+    def __init__(self):
+        self.n, self.value = 0, 1
+
+    def __call__(self, n: int) -> int:
+        if n < self.n:
+            self.value = factorial(n)
+        else:
+            self.value *= perm(n, n - self.n)  # n!/self.n!
+        self.n = n
+        return self.value
+
+
 GROWTH_REGISTRY: dict[str, GrowthFunction] = {
     "identity": GrowthFunction("identity", lambda n: n),
     "n2": GrowthFunction("n2", lambda n: n * n),
@@ -83,7 +104,7 @@ GROWTH_REGISTRY: dict[str, GrowthFunction] = {
 WEIGHT_REGISTRY: dict[str, WeightSequence] = {
     "n2": WeightSequence("n2", lambda n: n * n),
     "pow2": WeightSequence("pow2", lambda n: 2**n),
-    "nfact": WeightSequence("nfact", factorial),
+    "nfact": WeightSequence("nfact", _RunningFactorial()),
 }
 
 
@@ -299,8 +320,8 @@ class RationalProfile:
         return float(top)
 
 
-def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> tuple[complex, SumTrace]:
-    """sum_{n<=N} e((n + f(n)!) p/q) and its prefix-sup trace, in O(q) for any N.
+def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> SumTrace:
+    """sum_{n<=N} e((n + f(n)!) p/q) as its prefix-sup trace, in O(q) for any N.
 
     Read from the (f, p, q) RationalProfile: the sum is S(window(N)), the
     sup the max over the first min(N, H + q) partial sums, and sup_at the
@@ -314,7 +335,7 @@ def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> tuple[co
     rational = profile(RationalProfile, f, p, q)
     total = rational.value(n_terms)
     sup, sup_at = rational.sup(n_terms)
-    return total, SumTrace(total.real, total.imag, n_terms, sup, sup_at)
+    return SumTrace(total.real, total.imag, n_terms, sup, sup_at)
 
 
 class FactoradicProfile:
@@ -343,9 +364,7 @@ class FactoradicProfile:
         needed = self.f(n_terms) + 1
         if unknown and depth <= needed:
             raise InsufficientDepthError(
-                f"N={n_terms} needs digits through position {needed}, have depth {depth}",
-                required_depth=needed + 1,
-            )
+                f"N={n_terms} needs digits through position {needed}, have depth {depth}")
         if self._state is None:  # term 1: its block is perm(v, 0) = 1
             m = self.f(1)
             g = int(frac_factorial(m, self.alpha)[0] * d)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
@@ -90,46 +89,6 @@ class CylinderProfile:
         return completions if k else below
 
 
-@dataclass
-class MassViolation:
-    depth: int
-    b_lo: Fraction
-    b_hi: Fraction
-    mu: Fraction
-    bound: float
-
-
-@dataclass
-class MassCheckReport:
-    """Empirical mass-distribution evidence: mu(B) <= a |B|^s at tested scales."""
-
-    s: float
-    i0: int
-    i_max: int
-    a_constant: float
-    violations: list[MassViolation] = field(default_factory=list)
-    intervals_tested: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "i0": self.i0,
-            "i_max": self.i_max,
-            "a_constant": self.a_constant,
-            "intervals_tested": self.intervals_tested,
-            "violations": [
-                {
-                    "depth": v.depth,
-                    "B_lo": str(v.b_lo),
-                    "B_hi": str(v.b_hi),
-                    "mu": str(v.mu),
-                    "bound": v.bound,
-                }
-                for v in self.violations
-            ],
-        }
-
-
 def covering_measure(
     constraints: DigitConstraintSet, b_lo: Fraction, b_hi: Fraction, depth: int
 ) -> tuple[Fraction, int]:
@@ -177,8 +136,9 @@ def mass_check(
     i0: int,
     i_max: int,
     seed: int = 0,
-) -> MassCheckReport:
-    """Test mu(B) <= a |B|^s on random and cylinder-aligned intervals.
+) -> dict:
+    """Test mu(B) <= a |B|^s on random and cylinder-aligned intervals: the
+    `mass-check` document.
 
     For each depth i in [i0, i_max) intervals B with 1/(i+1)! < |B| <= 1/i!
     are checked against both the covering-count bound
@@ -189,13 +149,16 @@ def mass_check(
     a_constant, the largest mu(B)/|B|^s, are worked out in logs, as |B|^s
     leaves the float range near depth 178; a ValueError names the depth
     and s when a_constant itself is outside the normal float range.
+    Each violation gives its depth, B as exact fractions, mu(B) and the
+    smaller of the two bounds.
     """
     if not (0 < s < 1):
         raise ValueError("need 0 < s < 1")
     if not (2 <= i0 < i_max):
         raise ValueError("need 2 <= i0 < i_max")
     rng = random.Random(seed)
-    report = MassCheckReport(s=s, i0=i0, i_max=i_max, a_constant=0.0)
+    violations = []
+    tested = 0
     log_a, log_a_depth = -math.inf, i0
     # Every endpoint drawn at depth i is a numerator over den = 10^9 (i+1)!:
     # anchors k/(i+1)!, the half-cylinder shift, widths
@@ -230,8 +193,8 @@ def mass_check(
             if not (unit < width <= rho_i):
                 continue
             b_lo, b_hi = Fraction(lo, den), Fraction(hi, den)
-            mu, hits = covering_measure(constraints, b_lo, b_hi, i + 1)
-            report.intervals_tested += 1
+            mu, _ = covering_measure(constraints, b_lo, b_hi, i + 1)
+            tested += 1
             # The covering bound (|B| (i+1)! + 2) / count(i+1), times count(i+1).
             covering_count = width // unit + 2
             log_mu = _log(mu) if mu else -math.inf
@@ -241,7 +204,8 @@ def mass_check(
             if (mu.numerator * cylinders.count > covering_count * mu.denominator
                     or log_mu > log_chain + 1e-12):
                 bound = min(covering_count / cylinders.count, math.exp(log_chain))
-                report.violations.append(MassViolation(i, b_lo, b_hi, mu, bound))
+                violations.append({"depth": i, "B_lo": str(b_lo), "B_hi": str(b_hi),
+                                   "mu": str(mu), "bound": bound})
             if log_mu - s * log_width > log_a:
                 log_a, log_a_depth = log_mu - s * log_width, i
     if not _LOG_FLOAT_RANGE[0] <= log_a <= _LOG_FLOAT_RANGE[1]:
@@ -249,8 +213,8 @@ def mass_check(
             f"a_constant = exp({log_a:.6g}), the largest mu(B)/|B|^s (depth {log_a_depth}, "
             f"s = {s}), is outside the normal float range"
         )
-    report.a_constant = math.exp(log_a)
-    return report
+    return {"s": s, "i0": i0, "i_max": i_max, "a_constant": math.exp(log_a),
+            "intervals_tested": tested, "violations": violations}
 
 
 def dimension_lower_estimate(

@@ -41,7 +41,6 @@ class SumTrace:
 
     The sup is over all prefixes consumed so far, with the first
     attaining index recorded; the current modulus may be smaller.
-    A single trace must not be advanced from two workers at once.
     """
 
     re: float = 0.0

@@ -42,10 +42,6 @@ class Trit(enum.Enum):
 class InsufficientDepthError(ValueError):
     """Raised when an operation needs digits beyond the stored prefix."""
 
-    def __init__(self, message: str, required_depth: int | None = None):
-        super().__init__(message)
-        self.required_depth = required_depth
-
 
 @dataclass(frozen=True)
 class FactoradicReal:
@@ -126,10 +122,7 @@ def frac_factorial(m: int, f: FactoradicReal) -> tuple[Fraction, Fraction]:
     if m < 1:
         raise ValueError("m must be >= 1")
     if f.tail is Tail.UNKNOWN and m >= f.depth:
-        raise InsufficientDepthError(
-            f"{{m! alpha}} with m={m} needs depth > m, have {f.depth}",
-            required_depth=m + 1,
-        )
+        raise InsufficientDepthError(f"{{m! alpha}} with m={m} needs depth > m, have {f.depth}")
     if m >= f.depth:  # ZERO tail: m! alpha is an integer; m may be far too big for m!
         return Fraction(0), Fraction(0)
     den = perm(f.depth, f.depth - m)

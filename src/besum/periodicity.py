@@ -11,7 +11,8 @@ A sequence is held as a small-integer code array
 (`CoefficientSequence.codes`).  Period detection and the collapse test
 compare codes; sector sums read the alphabet's complex values through
 them, summed in sqrt(A)-sized blocks (see `sector_eval`).  The values
-themselves, one Python object per term, are built only when read.
+themselves, one Python object per term, are built only when the writer
+reads them.
 
 A coefficient file is run-length encoded over a handful of distinct
 tokens, so `read_coeffs_file` costs one dict lookup per token (the id of
@@ -53,13 +54,13 @@ class CoefficientSequence:
     `symbols` is the alphabet as complex numbers, in a fixed order, and
     `codes[n]` is the index of a_n in it (the smallest unsigned dtype that
     fits).  Values that compare equal, such as 1 and 1+0j, share a code.
-    ==, repr and hash are those of (values, alphabet).
 
     `runs` = (run values, run ids, run lengths) says that the values are
     run_values[run_ids[t]] repeated run_lengths[t] times, t in order, so
     the codes take one alphabet lookup per run value and one `np.repeat`,
-    and the `values` tuple is built from the runs when first read.
-    Without runs, `values` is required and each value is a run of length 1.
+    and the `values` tuple, which only `write_coeffs_file` reads, is built
+    from the runs when first read.  Without runs, `values` is required and
+    each value is a run of length 1.
     """
 
     def __init__(self, values: tuple | None, alphabet: frozenset | None = None,
@@ -86,27 +87,16 @@ class CoefficientSequence:
         run_values, run_ids, run_lengths = self._runs
         return tuple(np.repeat(run_values[run_ids], run_lengths))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.values, self.alphabet) == (other.values, other.alphabet)
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.alphabet))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(values={self.values!r}, alphabet={self.alphabet!r})"
-
     def __len__(self) -> int:
         return len(self.codes)
 
-    def prefix(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a_0..a_A as complex numbers, the indices 0..A) for 0 <= A inside the prefix."""
+    def prefix(self, n_terms: int) -> np.ndarray:
+        """a_0..a_A as complex numbers, for 0 <= A inside the prefix."""
         if n_terms < 0:
             raise ValueError(f"A={n_terms} must be >= 0")
         if n_terms >= len(self):
             raise ValueError(f"A={n_terms} beyond available prefix of length {len(self)}")
-        return self.symbols[self.codes[: n_terms + 1]], np.arange(n_terms + 1)
+        return self.symbols[self.codes[: n_terms + 1]]
 
 
 @dataclass(frozen=True)
@@ -132,8 +122,7 @@ class SectorSpec:
 
 @dataclass
 class SectorGrid:
-    thetas: np.ndarray
-    values: np.ndarray  # shape (len(r_grid), len(thetas))
+    values: np.ndarray  # shape (len(r_grid), n_theta), columns at sector.thetas()
     max_modulus: float
     max_at: tuple[float, float]  # (r, theta) attaining the max
 
@@ -172,7 +161,7 @@ def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> Sec
     so a term r^n far below 2^-1022 keeps an error the relative part
     misses (at r = 2.2e-313 it is 5e-324 while the u term is 0).
     """
-    a, _ = c.prefix(n_terms)
+    a = c.prefix(n_terms)
     thetas = sector.thetas()
     size = n_terms + 1
     width = math.isqrt(n_terms) + 1  # B = ceil(sqrt(A+1))
@@ -195,7 +184,6 @@ def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> Sec
     flat = int(np.argmax(np.abs(vals)))
     ri, ti = divmod(flat, len(thetas))
     return SectorGrid(
-        thetas=thetas,
         values=vals,
         max_modulus=float(np.abs(vals[ri, ti])),
         max_at=(sector.r_grid[ri], float(thetas[ti])),

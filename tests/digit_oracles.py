@@ -28,8 +28,6 @@ from besum.construction import (
 )
 from besum.dimension import (
     INTERVALS_PER_DEPTH,
-    MassCheckReport,
-    MassViolation,
     _log,
     count_cylinders,
     log_chain_coefficient,
@@ -207,11 +205,12 @@ def covering_measure_by_digits(
 
 def mass_check_by_fractions(
     constraints: DigitConstraintSet, s: float, i0: int, i_max: int, seed: int = 0
-) -> MassCheckReport:
+) -> dict:
     """mass_check with every endpoint, clamp, width test and bound a Fraction, and
     mu(B) from covering_measure_by_digits; the same random draws in the same order."""
     rng = random.Random(seed)
-    report = MassCheckReport(s=s, i0=i0, i_max=i_max, a_constant=0.0)
+    violations = []
+    tested = 0
     log_a = -math.inf
     for i in range(i0, i_max):
         m_fact = factorial(i + 1)
@@ -239,17 +238,18 @@ def mass_check_by_fractions(
             if not (rho_next < width <= rho_i):
                 continue
             mu, _ = covering_measure_by_digits(constraints, b_lo, b_hi, i + 1)
-            report.intervals_tested += 1
+            tested += 1
             covering_bound = Fraction(width.numerator * m_fact // width.denominator + 2, count_next)
             log_mu = _log(mu) if mu else -math.inf
             log_width = _log(width)
             log_chain = log_chain_i + s * log_width
             if mu > covering_bound or log_mu > log_chain + 1e-12:
                 bound = min(float(covering_bound), math.exp(log_chain))
-                report.violations.append(MassViolation(i, b_lo, b_hi, mu, bound))
+                violations.append({"depth": i, "B_lo": str(b_lo), "B_hi": str(b_hi),
+                                   "mu": str(mu), "bound": bound})
             log_a = max(log_a, log_mu - s * log_width)
-    report.a_constant = math.exp(log_a)
-    return report
+    return {"s": s, "i0": i0, "i_max": i_max, "a_constant": math.exp(log_a),
+            "intervals_tested": tested, "violations": violations}
 
 
 def frac_factorial_by_digits(m: int, f: FactoradicReal) -> tuple[Fraction, Fraction]:
@@ -257,10 +257,7 @@ def frac_factorial_by_digits(m: int, f: FactoradicReal) -> tuple[Fraction, Fract
     if m < 1:
         raise ValueError("m must be >= 1")
     if f.tail is Tail.UNKNOWN and m >= f.depth:
-        raise InsufficientDepthError(
-            f"{{m! alpha}} with m={m} needs depth > m, have {f.depth}",
-            required_depth=m + 1,
-        )
+        raise InsufficientDepthError(f"{{m! alpha}} with m={m} needs depth > m, have {f.depth}")
     num = 0
     den = 1
     for i in range(m + 1, f.depth + 1):

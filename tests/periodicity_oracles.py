@@ -41,7 +41,7 @@ def from_indicator(members: set[int], length: int) -> CoefficientSequence:
 
 def partial_power_sum(c: CoefficientSequence, r: float, theta: float, n_terms: int) -> complex:
     """sum_{n<=A} a_n r^n e(n theta)."""
-    a, n = c.prefix(n_terms)
+    a, n = c.prefix(n_terms), np.arange(n_terms + 1)
     z = r * np.exp(2j * np.pi * theta)
     return complex(np.sum(a * z**n))
 
@@ -57,7 +57,7 @@ def abel_bound_check(
     """
     if not (0 <= r < 1):
         raise ValueError("need 0 <= r < 1")
-    a, n = c.prefix(n_terms)
+    a, n = c.prefix(n_terms), np.arange(n_terms + 1)
     unit = a * np.exp(2j * np.pi * float(alpha) * n)
     lhs = abs(np.sum(unit * r**n))
     rhs = float(np.max(np.abs(np.cumsum(unit))))

@@ -56,7 +56,7 @@ def test_criterion_01_rational_boundedness():
         for p in range(1, q):
             if gcd(p, q) != 1:
                 continue
-            _, trace = af_sum_rational(F_N2, p, q, n_max)
+            trace = af_sum_rational(F_N2, p, q, n_max)
             rhs = eq4_rhs(F_N2, p, q)
             assert trace.sup_modulus <= rhs, f"sup {trace.sup_modulus} > bound {rhs} at {p}/{q}"
             worst_slack = min(worst_slack, rhs - trace.sup_modulus)

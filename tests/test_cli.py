@@ -19,8 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import besum
+import digit_oracles
+from besum import dimension
 from besum.cli import Columns, _csv_text, _json_text, main
-from besum.construction import FactoradicProfile, RationalProfile, get_growth, profile
+from besum.construction import (
+    DigitConstraintSet,
+    FactoradicProfile,
+    RationalProfile,
+    get_growth,
+    get_weights,
+    profile,
+)
 from besum.dimension import condition_ii_check
 from besum.expsum import RootSums
 from besum.factoradic import encode, write_digit_file
@@ -253,6 +262,29 @@ class TestVerbs:
         doc = _strict_json(result.output)
         assert doc["violations"] == [] and doc["intervals_tested"] > 40
         assert doc["a_constant"] > 0
+
+    @pytest.mark.parametrize("lower_chain", [0.0, 12.0])
+    @pytest.mark.parametrize("argv, call", [
+        (["--s", "0.5", "--imax", "9", "--seed", "5"], ("n2", "n2", 0.5, 3, 9, 5)),
+        (["--f", "identity", "--a", "nfact", "--s", "0.9", "--i0", "2", "--imax", "12",
+          "--seed", "1"], ("identity", "nfact", 0.9, 2, 12, 1)),
+    ])
+    def test_mass_check_prints_the_oracle_document_in_order(self, runner, monkeypatch, argv,
+                                                            call, lower_chain):
+        # A chain coefficient lowered by e^12 makes violations, so their keys are compared too.
+        chain = dimension.log_chain_coefficient
+        lowered = lambda *args: chain(*args) - lower_chain  # noqa: E731
+        monkeypatch.setattr(dimension, "log_chain_coefficient", lowered)
+        monkeypatch.setattr(digit_oracles, "log_chain_coefficient", lowered)
+        f, a, s, i0, i_max, seed = call
+        constraints = DigitConstraintSet(get_growth(f), get_weights(a))
+        expected = digit_oracles.mass_check_by_fractions(constraints, s, i0, i_max, seed)
+        result = runner.invoke(main, ["mass-check", *argv])
+        assert result.exit_code == 0, result.output
+        doc = _strict_json(result.output)
+        assert bool(doc["violations"]) == bool(lower_chain)
+        # json.dumps keeps key order, so equal texts mean the same keys in the same order.
+        assert json.dumps(doc) == json.dumps({"provenance": doc["provenance"], **expected})
 
     def test_mass_check_a_constant_below_the_float_range_is_config_error(self, runner):
         result = runner.invoke(main, ["mass-check", "--s", "0.3", "--i0", "250", "--imax", "252"])
@@ -535,7 +567,7 @@ def test_non_finite_json_value_is_config_error(runner, tmp_path, monkeypatch):
     assert result.exit_code == 2, result.output
     assert "NaN" not in result.output and "not finite" in result.output
     # A NaN that reaches the JSON emitter is refused there too, not printed.
-    grid = SectorGrid(np.zeros(2), np.zeros((1, 2)), float("nan"), (0.9, 0.0))
+    grid = SectorGrid(np.zeros((1, 2)), float("nan"), (0.9, 0.0))
     monkeypatch.setattr("besum.cli.sector_eval", lambda *args: grid)
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
