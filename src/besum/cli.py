@@ -462,7 +462,7 @@ def cond_ii(f, eps, imax):
     """Growth-condition statistic sup_i [sum log(f(j)+1) - eps log i!]."""
     f = get_growth(f)
     _stop_if_dry_run()
-    sup_log, attained_at, _ = condition_ii_check(f, eps, imax)
+    sup_log, attained_at = condition_ii_check(f, eps, imax)
     return {"sup_log": sup_log, "attained_at": attained_at}
 
 

@@ -42,6 +42,9 @@ BIT_BUDGET = 10**7
 # and modulus arrays), so q = 10^7 takes up to 0.9 GB, and for
 # f = identity at a prime q the head alone is q - 1 Python steps.
 RATIONAL_MAX_Q = 10**7
+# Deepest sample sample_e_set draws: its digit-count table and its digits
+# are Python lists of that length.
+SAMPLE_MAX_DEPTH = 10**6
 
 # Rational upper bound for Euler's e, for rigorous inequality checks.
 E_UPPER = Fraction(271828182846, 10**11)
@@ -134,7 +137,6 @@ class DigitConstraintSet:
         self.a = a
         self._caps: dict[int, int] = {}  # position -> cap, positions increasing
         self._scanned_to = 0  # largest i folded into _caps
-        self._counts: list[int] = []  # allowed digit count at position m, at index m - 2
 
     def _scan(self, position: int) -> None:
         i = self._scanned_to
@@ -152,23 +154,16 @@ class DigitConstraintSet:
         return self._caps.get(m)
 
     def allowed_digit_counts(self, depth: int) -> list[int]:
-        """Allowed digit counts at positions 2..depth, from a table built once:
-        m at an unconstrained position m, min(m - 1, cap) + 1 at a capped one."""
-        counts = self._counts
-        start = len(counts) + 2
-        if start <= depth:
-            counts.extend(range(start, depth + 1))
-            self._scan(depth)
-            for m in reversed(self._caps):  # the new constrained positions, deepest first
-                if m < start:
-                    break
-                if m <= depth:
-                    counts[m - 2] = min(m - 1, self.cap_for_position(m)) + 1
-        return counts[: depth - 1]
+        """Allowed digit counts at positions 2..depth: m at an unconstrained
+        position m, min(m - 1, cap) + 1 at a capped one."""
+        counts = list(range(2, depth + 1))
+        for m in self.constrained_positions(depth):
+            counts[m - 2] = min(m - 1, self.cap_for_position(m)) + 1
+        return counts
 
     def constrained_positions(self, up_to: int) -> list[int]:
         self._scan(up_to)
-        return sorted(p for p in self._caps if p <= up_to)
+        return [p for p in self._caps if p <= up_to]  # increasing, as inserted
 
 
 def membership(constraints: DigitConstraintSet, alpha: FactoradicReal) -> Trit:
@@ -194,6 +189,9 @@ def sample_e_set(constraints: DigitConstraintSet, depth: int, seed: int) -> Fact
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    if depth > SAMPLE_MAX_DEPTH:  # before the digit-count table
+        raise ResourceBudgetError(f"depth {depth} is over the limit of {SAMPLE_MAX_DEPTH} "
+                                  "(construction.SAMPLE_MAX_DEPTH)")
     counts = constraints.allowed_digit_counts(depth)
     if max(counts) == 1:
         raise ValueError(f"every digit through depth {depth} is capped at 0, so the only "

@@ -32,10 +32,12 @@ from operator import truediv
 from .construction import DigitConstraintSet, GrowthFunction, ResourceBudgetError, profile
 from .factoradic import FactoradicReal
 
-# Largest j_max dimension_lower_estimate accepts, and largest i_max for
-# condition_ii_check: each keeps float lists of that length, and the
-# dimension series prints 66 bytes a position (0.44 GB peak at the limit).
+# Largest j_max dimension_lower_estimate accepts: it keeps float lists of
+# that length, and the series prints 66 bytes a position (0.44 GB peak at
+# the limit).
 DIMENSION_MAX_J = 10**6
+# Largest i_max condition_ii_check accepts: it keeps no per-i list, so the
+# limit bounds only its run time (i_max steps of a few float logs).
 CONDITION_II_MAX_I = 10**6
 
 
@@ -240,24 +242,22 @@ def dimension_lower_estimate(
     return list(zip(positions, map(truediv, accumulate(log_allowed), accumulate(log_m))))
 
 
-def condition_ii_check(
-    f: GrowthFunction, eps: float, i_max: int
-) -> tuple[float, int, list[float]]:
-    """g(i) = sum_{f(j)<=i} log(f(j)+1) - eps * log i!, its max and argmax.
+def condition_ii_check(f: GrowthFunction, eps: float, i_max: int) -> tuple[float, int]:
+    """g(i) = sum_{f(j)<=i} log(f(j)+1) - eps * log i!: its max over i <= i_max and
+    the first i at the max.
 
     Boundedness of g over the tested range is the finite-scale witness
     that the growth function is fast enough for the full-dimension
     construction; for slow f the statistic runs off to +infinity.
-    Returns (sup_log, attained_at, the full series g(1..i_max)).
     """
     if not (0 < eps < 1):
         raise ValueError("need 0 < eps < 1")
     if i_max < 1:
         raise ValueError("need i_max >= 1")
-    if i_max > CONDITION_II_MAX_I:  # before the series
+    if i_max > CONDITION_II_MAX_I:
         raise ResourceBudgetError(f"i_max {i_max} is over the limit of {CONDITION_II_MAX_I} "
                                   "(dimension.CONDITION_II_MAX_I)")
-    series = []
+    sup, at = -math.inf, 0
     prod_log = 0.0
     fact_log = 0.0
     j, fn = 1, f.fn
@@ -268,6 +268,7 @@ def condition_ii_check(
             prod_log += math.log(fj + 1)
             j += 1
             fj = fn(j)
-        series.append(prod_log - eps * fact_log)
-    at = max(range(i_max), key=series.__getitem__)  # the first index at the max
-    return series[at], at + 1, series
+        g = prod_log - eps * fact_log
+        if g > sup:  # strict, so `at` is the first i at the max
+            sup, at = g, i
+    return sup, at

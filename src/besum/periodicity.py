@@ -10,9 +10,8 @@ period detection on finite prefixes, and the root-of-unity collapse test.
 A sequence is held as a small-integer code array
 (`CoefficientSequence.codes`).  Period detection and the collapse test
 compare codes; sector sums read the alphabet's complex values through
-them, summed in sqrt(A)-sized blocks (see `sector_eval`).  The values
-themselves, one Python object per term, are built only when the writer
-reads them.
+them, summed in sqrt(A)-sized blocks (see `sector_eval`).  No Python
+object is kept per term.
 
 A coefficient file is run-length encoded over a handful of distinct
 tokens, so `read_coeffs_file` costs one dict lookup per token (the id of
@@ -23,11 +22,10 @@ their counts; each distinct token is parsed and checked once.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, groupby
+from itertools import count
 from typing import TextIO
 
 import numpy as np
@@ -35,9 +33,12 @@ import numpy as np
 from .construction import ResourceBudgetError
 
 # Longest coefficient file read_coeffs_file accepts: 10^7 terms take 10 MB
-# of codes (one byte a term for a small alphabet) and 80 MB more if their
-# values are read.
+# of codes (one byte a term for a small alphabet).
 COEFFS_MAX_LENGTH = 10**7
+# Largest phase table sector_eval builds: (B + Q) n_theta complex doubles,
+# 160 MB at the limit, and one radius's products about as much again
+# (0.4 GB peak at the limit).
+SECTOR_MAX_CELLS = 10**7
 
 
 def _as_complex(v) -> complex:
@@ -55,37 +56,25 @@ class CoefficientSequence:
     `codes[n]` is the index of a_n in it (the smallest unsigned dtype that
     fits).  Values that compare equal, such as 1 and 1+0j, share a code.
 
-    `runs` = (run values, run ids, run lengths) says that the values are
-    run_values[run_ids[t]] repeated run_lengths[t] times, t in order, so
-    the codes take one alphabet lookup per run value and one `np.repeat`,
-    and the `values` tuple, which only `write_coeffs_file` reads, is built
-    from the runs when first read.  Without runs, `values` is required and
-    each value is a run of length 1.
+    The prefix is given as runs: run_values[run_ids[t]] repeated
+    run_lengths[t] times, t in order, so the codes take one alphabet
+    lookup per run value and one `np.repeat`.
     """
 
-    def __init__(self, values: tuple | None, alphabet: frozenset | None = None,
-                 runs: tuple | None = None):
-        if runs is None:  # each value a run of length 1
-            self.values, runs = values, (values, np.arange(len(values)), 1)
-        run_values, run_ids, run_lengths = self._runs = runs
+    def __init__(self, alphabet: frozenset, run_values: np.ndarray, run_ids: np.ndarray,
+                 run_lengths: np.ndarray):
         if not len(run_ids) or run_values[run_ids[0]] != 0:
             raise ValueError("coefficient sequences start with a_0 = 0")
-        self.alphabet = frozenset(run_values) if alphabet is None else alphabet
-        order = sorted(self.alphabet, key=str)
+        order = sorted(alphabet, key=str)
         index = {v: i for i, v in enumerate(order)}
         dtype = np.min_scalar_type(len(order) - 1)
         try:
             run_codes = np.fromiter(map(index.__getitem__, run_values), dtype, len(run_values))
         except KeyError:
-            bad = set(run_values) - set(self.alphabet)
+            bad = set(run_values) - alphabet
             raise ValueError(f"values outside the declared alphabet: {sorted(map(str, bad))}") from None
         self.codes = np.repeat(run_codes[run_ids], run_lengths)
         self.symbols = np.array([_as_complex(v) for v in order])
-
-    @functools.cached_property
-    def values(self) -> tuple:
-        run_values, run_ids, run_lengths = self._runs
-        return tuple(np.repeat(run_values[run_ids], run_lengths))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -162,10 +151,15 @@ def sector_eval(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> Sec
     misses (at r = 2.2e-313 it is 5e-324 while the u term is 0).
     """
     a = c.prefix(n_terms)
-    thetas = sector.thetas()
     size = n_terms + 1
     width = math.isqrt(n_terms) + 1  # B = ceil(sqrt(A+1))
     rows = -(-size // width)  # Q = ceil((A+1)/B)
+    cells = (width + rows) * sector.n_theta
+    if cells > SECTOR_MAX_CELLS:  # before the phase tables
+        raise ResourceBudgetError(
+            f"sector grid at A={n_terms}: (B + Q) n_theta = {cells} is over the limit of "
+            f"{SECTOR_MAX_CELLS} (periodicity.SECTOR_MAX_CELLS)")
+    thetas = sector.thetas()
     block = np.zeros(rows * width, dtype=complex)
     block[:size] = a
     block = block.reshape(rows, width)
@@ -263,13 +257,6 @@ def _parse_value(tok: str):
     return value
 
 
-def write_coeffs_file(c: CoefficientSequence, fp: TextIO) -> None:
-    fp.write(f"{COEFFS_MAGIC}\n")
-    fp.write("alphabet " + " ".join(str(v) for v in sorted(c.alphabet, key=str)) + "\n")
-    runs = (f"{sum(1 for _ in run)}*{v}" for v, run in groupby(c.values))
-    fp.write(" ".join(runs) + "\n")
-
-
 def read_coeffs_file(fp: TextIO) -> CoefficientSequence:
     """The sequence a `coeffs v1` file holds, built per distinct token (see the module doc).
 
@@ -304,7 +291,7 @@ def read_coeffs_file(fp: TextIO) -> CoefficientSequence:
     run_counts, run_values = zip(*parsed)
     lengths = np.array(run_counts, np.int64)[ids]
     _check_length(lengths)
-    return CoefficientSequence(None, alphabet, runs=(np.array(run_values, dtype=object), ids, lengths))
+    return CoefficientSequence(alphabet, np.array(run_values, dtype=object), ids, lengths)
 
 
 def _check_length(lengths: np.ndarray) -> None:

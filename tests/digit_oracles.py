@@ -8,9 +8,10 @@ measure from the paper that the package's exact counts supersede
 position-by-position loops that the allowed-digit table and the integer
 X = floor(x depth!) replaced; `anchors_below_by_digits` is the digit walk
 that the segment walk replaced, `mass_check_by_fractions` the
-Fraction interval loop that the integer one replaced, and
+Fraction interval loop that the integer one replaced,
 `dimension_lower_estimate_by_positions` the two-logs-per-position loop
-that one log per position replaced.
+that one log per position replaced, and `condition_ii_series` the whole
+series whose running max `condition_ii_check` keeps.
 """
 
 import math
@@ -320,3 +321,19 @@ def dimension_lower_estimate_by_positions(
         log_fact += math.log(m)
         out.append((m, log_count / log_fact))
     return out
+
+
+def condition_ii_series(f: GrowthFunction, eps: float, i_max: int) -> list[float]:
+    """g(1..i_max), g(i) = sum_{f(j)<=i} log(f(j)+1) - eps * log i!, in the same float
+    steps as condition_ii_check."""
+    series = []
+    prod_log = 0.0
+    fact_log = 0.0
+    j = 1
+    for i in range(1, i_max + 1):
+        fact_log += math.log(i)
+        while f(j) <= i:
+            prod_log += math.log(f(j) + 1)
+            j += 1
+        series.append(prod_log - eps * fact_log)
+    return series

@@ -2,11 +2,13 @@
 
 Each one is the textbook form of something the package computes another
 way (codes, blocked sums, the coefficient-file reader), so the tests can
-compare the two, or builds a test sequence (`ultimately_periodic`,
-`from_indicator`).
+compare the two, or builds test values or sequences (`sequence`,
+`ultimately_periodic`, `from_indicator`) or a coefficient file
+(`coeffs_text`).
 """
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -21,14 +23,33 @@ from besum.periodicity import (
 )
 
 
-def ultimately_periodic(preperiod: Sequence, block: Sequence, length: int) -> CoefficientSequence:
+def sequence(values: Sequence, alphabet: frozenset | None = None) -> CoefficientSequence:
+    """The sequence of `values`, each a run of length 1, over `alphabet` (by default
+    the values' own)."""
+    if alphabet is None:
+        alphabet = frozenset(values)
+    return CoefficientSequence(alphabet, np.array(values, dtype=object), np.arange(len(values)),
+                               np.ones(len(values), np.int64))
+
+
+def coeffs_text(values: Sequence, alphabet: frozenset | None = None) -> str:
+    """The `coeffs v1` file of `values` over `alphabet` (by default the values' own),
+    one run per stretch of same-spelled values."""
+    if alphabet is None:
+        alphabet = frozenset(values)
+    runs = " ".join(f"{sum(1 for _ in run)}*{v}" for v, run in groupby(values, key=str))
+    return (f"{COEFFS_MAGIC}\nalphabet {' '.join(str(v) for v in sorted(alphabet, key=str))}\n"
+            f"{runs}\n")
+
+
+def ultimately_periodic(preperiod: Sequence, block: Sequence, length: int) -> tuple:
     """a_0 = 0, then the preperiod, then the block repeated, cut to length values."""
     vals = [0] + list(preperiod)
     i = 0
     while len(vals) < length:
         vals.append(block[i % len(block)])
         i += 1
-    return CoefficientSequence(tuple(vals[:length]))
+    return tuple(vals[:length])
 
 
 def from_indicator(members: set[int], length: int) -> CoefficientSequence:
@@ -36,7 +57,7 @@ def from_indicator(members: set[int], length: int) -> CoefficientSequence:
     vals = tuple(1 if n in members else 0 for n in range(length))
     if vals[0] != 0:
         raise ValueError("0 cannot be a member (a_0 = 0)")
-    return CoefficientSequence(vals, frozenset({0, 1}))
+    return sequence(vals, frozenset({0, 1}))
 
 
 def partial_power_sum(c: CoefficientSequence, r: float, theta: float, n_terms: int) -> complex:
@@ -64,20 +85,19 @@ def abel_bound_check(
     return float(lhs), rhs
 
 
-def sector_grid_direct(c: CoefficientSequence, sector: SectorSpec, n_terms: int) -> np.ndarray:
+def sector_grid_direct(values: Sequence, sector: SectorSpec, n_terms: int) -> np.ndarray:
     """The sector sums from the full (n_theta, A+1) phase grid, one term per entry."""
-    a = np.asarray([complex(v) for v in c.values[: n_terms + 1]])
+    a = np.asarray([complex(v) for v in values[: n_terms + 1]])
     n = np.arange(n_terms + 1)
     phase = np.exp(2j * np.pi * np.outer(sector.thetas(), n))
     return np.array([phase @ (a * r**n) for r in sector.r_grid])
 
 
 def detect_ultimate_period_by_scan(
-    c: CoefficientSequence, max_preperiod: int, max_period: int
+    vals: Sequence, max_preperiod: int, max_period: int
 ) -> tuple[int, int] | None:
     """Smallest (K, q) in lexicographic order, value by value from the end of the prefix."""
-    length = len(c)
-    vals = c.values
+    length = len(vals)
     best = None
     for q in range(1, max_period + 1):
         # Minimal K for this q: one past the last mismatch a_n != a_{n+q}.
@@ -115,4 +135,4 @@ def read_coeffs_by_tokens(fp: TextIO) -> CoefficientSequence:
         values += run
         if len(values) > periodicity.COEFFS_MAX_LENGTH:
             raise _over_length_limit(len(values))
-    return CoefficientSequence(tuple(values), alphabet)
+    return sequence(values, alphabet)

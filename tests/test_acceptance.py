@@ -28,12 +28,13 @@ from besum.expsum import qn_counterexample_sup
 from besum.factoradic import FactoradicReal, Tail, decode, encode, frac_factorial
 from besum.periodicity import detect_ultimate_period, period_collapse_test
 from digit_oracles import (
+    condition_ii_series,
     count_lower_bound,
     enumerate_cylinder_digits,
     measure_of_cylinder,
     tail_sum_identity,
 )
-from periodicity_oracles import partial_power_sum, ultimately_periodic
+from periodicity_oracles import partial_power_sum, sequence, ultimately_periodic
 from sum_oracles import symmetry_check
 
 F_ID = get_growth("identity")
@@ -197,14 +198,16 @@ def test_criterion_09_count_lower_bound():
 
 def test_criterion_10_condition_ii():
     for eps in (0.1, 0.5, 0.9):
-        sup, attained_at, series = condition_ii_check(F_N2, eps, 10**4)
+        sup, attained_at = condition_ii_check(F_N2, eps, 10**4)
+        series = condition_ii_series(F_N2, eps, 10**4)
+        assert (sup, attained_at) == (max(series), series.index(sup) + 1)
         assert attained_at <= 10**4
         assert all(series[i] < sup for i in range(attained_at, 10**4))
         # g jumps by log(j^2+1) whenever i passes a square, so pointwise
         # decrease fails; the envelope of local maxima (at i = j^2) decreases.
         envelope = [series[j * j - 1] for j in range(1, 101) if j * j >= attained_at]
         assert all(a > b for a, b in zip(envelope, envelope[1:]))
-    _, _, id_series = condition_ii_check(F_ID, 0.5, 100)
+    id_series = condition_ii_series(F_ID, 0.5, 100)
     assert id_series[99] > id_series[9] + 50
     print("criterion 10 PASS: f=n2 statistic peaks early and decays (eps 0.1/0.5/0.9); "
           "f=identity grows without bound (g(100) > g(10) + 50)")
@@ -226,13 +229,14 @@ def test_criterion_12_period_collapse():
     for _ in range(1000):
         pre = [rng.randint(0, 1) for _ in range(rng.randint(0, 8))]
         block = [rng.randint(0, 1) for _ in range(rng.randint(1, 8))]
-        c = ultimately_periodic(pre, block, 80)
+        values = ultimately_periodic(pre, block, 80)
+        c = sequence(values)
         found = detect_ultimate_period(c, 30, 16)
         assert found is not None
         k, q = found
         collapsed = period_collapse_test(c, k, q)
-        assert collapsed == (len(set(c.values[k:])) == 1)
-    c = ultimately_periodic([], [1, 0, 0], 30000)
+        assert collapsed == (len(set(values[k:])) == 1)
+    c = sequence(ultimately_periodic([], [1, 0, 0], 30000))
     moduli = [abs(partial_power_sum(c, r, 1 / 3, 29999)) for r in (0.9, 0.99, 0.999)]
     assert moduli[1] >= 5 * moduli[0]
     assert moduli[2] >= 5 * moduli[1]

@@ -33,7 +33,8 @@ from besum.construction import (
 from besum.dimension import condition_ii_check
 from besum.expsum import RootSums
 from besum.factoradic import encode, write_digit_file
-from besum.periodicity import CoefficientSequence, SectorGrid, write_coeffs_file
+from besum.periodicity import SectorGrid
+from periodicity_oracles import coeffs_text
 
 
 @pytest.fixture
@@ -350,8 +351,7 @@ class TestVerbs:
 
     def test_periodicity(self, runner, tmp_path):
         coeffs = tmp_path / "c.coeffs"
-        with open(coeffs, "w") as fp:
-            write_coeffs_file(CoefficientSequence((0,) + (1, 0) * 30), fp)
+        coeffs.write_text(coeffs_text((0,) + (1, 0) * 30))
         result = runner.invoke(
             main, ["periodicity", "--coeffs", str(coeffs), "--max-preperiod", "5", "--max-period", "5"]
         )
@@ -361,8 +361,7 @@ class TestVerbs:
 
     def test_sector_eval(self, runner, tmp_path):
         coeffs = tmp_path / "c.coeffs"
-        with open(coeffs, "w") as fp:
-            write_coeffs_file(CoefficientSequence((0,) + (1,) * 500), fp)
+        coeffs.write_text(coeffs_text((0,) + (1,) * 500))
         result = runner.invoke(
             main,
             ["sector-eval", "--coeffs", str(coeffs), "--theta1", "0.45", "--theta2", "0.55",
@@ -386,8 +385,7 @@ class TestVerbs:
     def test_every_verb_has_dry_run(self, runner, tmp_path):
         digits = write_sample_digits(tmp_path / "a.digits")
         coeffs = tmp_path / "c.coeffs"
-        with open(coeffs, "w") as fp:
-            write_coeffs_file(CoefficientSequence((0, 1, 0, 1)), fp)
+        coeffs.write_text(coeffs_text((0, 1, 0, 1)))
         cases = [
             ["sum", "--alpha", "1/3", "--N", "10", "--dry-run"],
             ["sup-sweep", "--qmax", "3", "--N", "10", "--dry-run"],
@@ -440,8 +438,7 @@ PINNED_CONFIG_HASHES = {
 def test_config_hash_is_pinned(runner, tmp_path, monkeypatch, argv, config_hash):
     monkeypatch.chdir(tmp_path)
     write_sample_digits(tmp_path / "a.digits")
-    with open(tmp_path / "c.coeffs", "w") as fp:
-        write_coeffs_file(CoefficientSequence((0,) + (1, 0) * 30), fp)
+    (tmp_path / "c.coeffs").write_text(coeffs_text((0,) + (1, 0) * 30))
     # The dry-run line prints the hashed config itself.
     dry = runner.invoke(main, argv + ["--dry-run"])
     assert dry.exit_code == 0, dry.output
@@ -504,8 +501,7 @@ def _strict_json(text: str):
 def test_out_of_range_integers_are_config_errors(runner, tmp_path, monkeypatch, argv, bound,
                                                  dry_run):
     monkeypatch.chdir(tmp_path)
-    with open(tmp_path / "c.coeffs", "w") as fp:
-        write_coeffs_file(CoefficientSequence((0,) + (1, 0) * 150), fp)
+    (tmp_path / "c.coeffs").write_text(coeffs_text((0,) + (1, 0) * 150))
     result = runner.invoke(main, argv + ["--dry-run"] * dry_run)
     assert result.exit_code == 2, result.output
     option, low = bound.split(" must be >= ")
@@ -539,8 +535,7 @@ def test_unparsable_encode_value_is_config_error(runner, value):
 def test_json_output_is_strict(runner, tmp_path):
     digits = write_sample_digits(tmp_path / "a.digits")
     coeffs = tmp_path / "c.coeffs"
-    with open(coeffs, "w") as fp:
-        write_coeffs_file(CoefficientSequence((0,) + (1, 0) * 150), fp)
+    coeffs.write_text(coeffs_text((0,) + (1, 0) * 150))
     cases = [
         ["factoradic", "decode", "--digits", str(digits)],
         ["membership", "--alpha-digits", str(digits)],
@@ -560,8 +555,7 @@ def test_json_output_is_strict(runner, tmp_path):
 def test_non_finite_json_value_is_config_error(runner, tmp_path, monkeypatch):
     # Ten terms of 1e308 overflow the sector sums; sector_eval refuses them.
     coeffs = tmp_path / "big.coeffs"
-    with open(coeffs, "w") as fp:
-        write_coeffs_file(CoefficientSequence((0,) + (1e308,) * 10), fp)
+    coeffs.write_text(coeffs_text((0,) + (1e308,) * 10))
     argv = ["sector-eval", "--coeffs", str(coeffs), "--theta1", "0", "--theta2", "0.1", "--A", "10"]
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
@@ -580,16 +574,32 @@ def test_condition_ii_needs_a_positive_range():
 
 
 @pytest.mark.parametrize("argv, limit", [
-    (["dimension", "--jmax"], "DIMENSION_MAX_J"),
-    (["cond-ii", "--f", "identity", "--eps", "0.5", "--imax"], "CONDITION_II_MAX_I"),
+    (["dimension", "--jmax"], "dimension.DIMENSION_MAX_J"),
+    (["cond-ii", "--f", "identity", "--eps", "0.5", "--imax"], "dimension.CONDITION_II_MAX_I"),
+    (["sample-e", "--depth"], "construction.SAMPLE_MAX_DEPTH"),
 ])
 def test_sizes_past_their_limit_exit_3(runner, monkeypatch, argv, limit):
-    # The limit lowered to 100, so neither run allocates anything large.
-    monkeypatch.setattr(f"besum.dimension.{limit}", 100)
+    # The limit lowered to 100, so no run allocates anything large.
+    monkeypatch.setattr(f"besum.{limit}", 100)
     assert runner.invoke(main, [*argv, "100"]).exit_code == 0
     result = runner.invoke(main, [*argv, "101"])
     assert result.exit_code == 3, result.output
-    assert f"101 is over the limit of 100 (dimension.{limit})" in result.output
+    assert f"101 is over the limit of 100 ({limit})" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_sector_grid_past_its_limit_exits_3(runner, monkeypatch, tmp_path):
+    # At A = 40, B + Q = 7 + 6, so two thetas make a grid of 26 phase cells.
+    coeffs = tmp_path / "c.coeffs"
+    coeffs.write_text(coeffs_text((0,) + (1, 0) * 30))
+    argv = ["sector-eval", "--coeffs", str(coeffs), "--theta1", "0.1", "--theta2", "0.2",
+            "--A", "40", "--n-theta", "2"]
+    monkeypatch.setattr("besum.periodicity.SECTOR_MAX_CELLS", 26)
+    assert runner.invoke(main, argv).exit_code == 0
+    monkeypatch.setattr("besum.periodicity.SECTOR_MAX_CELLS", 25)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert "= 26 is over the limit of 25 (periodicity.SECTOR_MAX_CELLS)" in result.output
     assert "Traceback" not in result.output
 
 

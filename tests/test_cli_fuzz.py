@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from besum.cli import main
 from besum.construction import profile
 from besum.factoradic import encode, write_digit_file
-from besum.periodicity import CoefficientSequence, write_coeffs_file
+from periodicity_oracles import coeffs_text
 
 # Input files, written afresh into each run's working directory by _write_fixtures.
 DIGITS_ZERO, DIGITS_UNKNOWN, DIGITS_BAD = "zero.digits", "unknown.digits", "bad.digits"
@@ -74,7 +74,7 @@ def _write_fixtures() -> None:
     with open(DIGITS_BAD, "w") as fp:
         fp.write("factoradic v1\ndepth=5\ntail=ZERO\n1 2 9 0\n")
     with open(COEFFS, "w") as fp:
-        write_coeffs_file(CoefficientSequence((0,) + (1, 0) * 30), fp)
+        fp.write(coeffs_text((0,) + (1, 0) * 30))
     with open(COEFFS_BAD, "w") as fp:
         fp.write("coeffs v1\nalphabet 0 1\n1*0 3*2\n")
 

@@ -214,11 +214,24 @@ class TestDigitConstraints:
                 caps = DigitConstraintSet(get_growth(f_name), get_weights(a_name))
                 want = [m if caps.cap_for_position(m) is None
                         else min(m - 1, caps.cap_for_position(m)) + 1 for m in range(2, 301)]
-                # Grow the table out of order: a deep read, a shallow one, one position.
+                # Reads out of order: a deep one, a shallow one, one position at a time.
                 assert table.allowed_digit_counts(150)[-1] == want[148]
                 assert table.allowed_digit_counts(40) == want[:39]
                 assert table.allowed_digit_counts(300) == want
                 assert [table.allowed_digit_counts(m)[-1] for m in range(2, 301)] == want
+
+    @pytest.mark.parametrize("f_name,a_name", REGISTRY_PAIRS)
+    @settings(max_examples=30, deadline=None)
+    @given(depths=st.lists(st.integers(2, 400), min_size=1, max_size=8))
+    def test_counts_do_not_depend_on_earlier_reads(self, f_name, a_name, depths):
+        # Depths in any order, repeated or decreasing, against a fresh set for each.
+        f, a = get_growth(f_name), get_weights(a_name)
+        shared = DigitConstraintSet(f, a)
+        for depth in depths:
+            fresh = DigitConstraintSet(f, a)
+            assert shared.allowed_digit_counts(depth) == fresh.allowed_digit_counts(depth)
+            assert shared.constrained_positions(depth) == [
+                m for m in range(2, depth + 1) if fresh.cap_for_position(m) is not None]
 
     def test_membership_zero(self):
         constraints = DigitConstraintSet(F_N2, A_N2)

@@ -30,6 +30,7 @@ from besum.dimension import (
 from besum.factoradic import FactoradicReal, encode
 from digit_oracles import (
     anchors_below_by_digits,
+    condition_ii_series,
     count_lower_bound,
     covering_measure_by_anchors,
     dimension_lower_estimate_by_positions,
@@ -335,13 +336,21 @@ class TestDimensionEstimate:
 
 class TestConditionII:
     def test_n2_bounded(self):
-        sup, at, series = condition_ii_check(F_N2, 0.5, 10**4)
+        sup, at = condition_ii_check(F_N2, 0.5, 10**4)
         assert at <= 100
-        assert all(g <= sup for g in series)
+        assert all(g <= sup for g in condition_ii_series(F_N2, 0.5, 10**4))
 
     def test_identity_unbounded(self):
-        _, _, series = condition_ii_check(F_ID, 0.5, 100)
+        series = condition_ii_series(F_ID, 0.5, 100)
         assert series[99] > series[9] + 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=st.sampled_from(sorted(GROWTH_REGISTRY)), eps=st.floats(0.01, 0.99),
+           i_max=st.integers(1, 3000))
+    def test_max_and_first_argmax_of_the_series(self, f, eps, i_max):
+        series = condition_ii_series(get_growth(f), eps, i_max)
+        sup = max(series)
+        assert condition_ii_check(get_growth(f), eps, i_max) == (sup, series.index(sup) + 1)
 
     def test_eps_domain(self):
         with pytest.raises(ValueError):

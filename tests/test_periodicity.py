@@ -7,7 +7,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from besum import periodicity
@@ -19,15 +19,16 @@ from besum.periodicity import (
     period_collapse_test,
     read_coeffs_file,
     sector_eval,
-    write_coeffs_file,
 )
 from periodicity_oracles import (
     abel_bound_check,
+    coeffs_text,
     detect_ultimate_period_by_scan,
     from_indicator,
     partial_power_sum,
     read_coeffs_by_tokens,
     sector_grid_direct,
+    sequence,
     ultimately_periodic,
 )
 
@@ -49,27 +50,26 @@ def indicator_of_shifted_factorials(length: int) -> CoefficientSequence:
 class TestCoefficientSequence:
     def test_requires_a0_zero(self):
         with pytest.raises(ValueError):
-            CoefficientSequence((1, 0, 1))
+            sequence((1, 0, 1))
 
     def test_alphabet_enforced(self):
         with pytest.raises(ValueError):
-            CoefficientSequence((0, 2), frozenset({0, 1}))
+            sequence((0, 2), frozenset({0, 1}))
 
     def test_ultimately_periodic_builder(self):
-        c = ultimately_periodic([1, 1], [1, 0], 8)
-        assert c.values == (0, 1, 1, 1, 0, 1, 0, 1)
+        assert ultimately_periodic([1, 1], [1, 0], 8) == (0, 1, 1, 1, 0, 1, 0, 1)
 
 
 class TestSectorEval:
     def test_constant_ones_at_half(self):
         # sum (-r)^n for n >= 1 converges to -r/(1+r): modulus r/(1+r).
-        c = CoefficientSequence((0,) + (1,) * 4000)
+        c = sequence((0,) + (1,) * 4000)
         grid = sector_eval(c, SectorSpec(0.5, 0.6, (0.9,), n_theta=2), 4000)
         at_half = grid.values[0, 0]
         assert abs(at_half) == pytest.approx(0.9 / 1.9, abs=1e-9)
 
     def test_zero_sequence(self):
-        c = CoefficientSequence((0,) * 100, frozenset({0}))
+        c = sequence((0,) * 100, frozenset({0}))
         grid = sector_eval(c, SectorSpec(0.1, 0.2, (0.5, 0.9)), 99)
         assert grid.max_modulus == 0
 
@@ -81,7 +81,7 @@ class TestSectorEval:
 
     def test_pole_growth_for_noncollapsing_block(self):
         # Block (1,0,0) from n=1: u(z) = z/(1-z^3), pole at e(1/3).
-        c = ultimately_periodic([], [1, 0, 0], 30000)
+        c = sequence(ultimately_periodic([], [1, 0, 0], 30000))
         moduli = [abs(partial_power_sum(c, r, 1 / 3, 29999)) for r in (0.9, 0.99, 0.999)]
         assert moduli[1] >= 5 * moduli[0]
         assert moduli[2] >= 5 * moduli[1]
@@ -89,35 +89,35 @@ class TestSectorEval:
 
     @pytest.mark.parametrize("n_terms", [-1, -2, -5])
     def test_negative_a_rejected(self, n_terms):
-        c = CoefficientSequence((0,) + (1,) * 10)
+        c = sequence((0,) + (1,) * 10)
         with pytest.raises(ValueError, match=">= 0"):
             sector_eval(c, SectorSpec(0.1, 0.2, (0.9,)), n_terms)
         with pytest.raises(ValueError, match=">= 0"):
             partial_power_sum(c, 0.9, 0.1, n_terms)
 
     def test_overflow_is_an_error_not_nan(self):
-        c = CoefficientSequence((0,) + (1e308,) * 10)
+        c = sequence((0,) + (1e308,) * 10)
         with pytest.raises(ValueError, match="not finite"):
             sector_eval(c, SectorSpec(0.0, 0.1, (0.9, 0.99)), 10)
 
 
 class TestAbelBound:
     def test_geometric(self):
-        c = CoefficientSequence((0,) + (1,) * 100)
+        c = sequence((0,) + (1,) * 100)
         lhs, rhs = abel_bound_check(c, Fraction(1, 2), 0.5, 100)
         assert lhs == pytest.approx(0.5 / 1.5, abs=1e-9)
         assert rhs == pytest.approx(1.0)
         assert lhs <= rhs + 1e-9
 
     def test_zero(self):
-        c = CoefficientSequence((0,) * 10, frozenset({0}))
+        c = sequence((0,) * 10, frozenset({0}))
         lhs, rhs = abel_bound_check(c, Fraction(1, 3), 0.4, 9)
         assert lhs == 0 and rhs == 0
 
     def test_random_property(self):
         rng = random.Random(29)
         vals = (0,) + tuple(rng.randint(0, 1) for _ in range(1000))
-        c = CoefficientSequence(vals, frozenset({0, 1}))
+        c = sequence(vals, frozenset({0, 1}))
         for _ in range(100):
             alpha = Fraction(rng.randint(1, 999), 1000)
             r = rng.random() * 0.999
@@ -127,11 +127,11 @@ class TestAbelBound:
 
 class TestDetect:
     def test_alternating(self):
-        c = CoefficientSequence((0, 1) * 10)
+        c = sequence((0, 1) * 10)
         assert detect_ultimate_period(c, 4, 4) == (0, 2)
 
     def test_ultimately_constant(self):
-        c = CoefficientSequence((0,) + (1,) * 12)
+        c = sequence((0,) + (1,) * 12)
         assert detect_ultimate_period(c, 4, 4) == (1, 1)
 
     def test_indicator_has_no_small_period(self):
@@ -139,35 +139,35 @@ class TestDetect:
         assert detect_ultimate_period(c, 100, 100) is None
 
     def test_insufficient_prefix(self):
-        c = CoefficientSequence((0, 1) * 3)
+        c = sequence((0, 1) * 3)
         with pytest.raises(ValueError, match="prefix length"):
             detect_ultimate_period(c, 4, 4)
 
     def test_minimality_order(self):
         # Both (0, 4) and (0, 2) fit; the smaller q wins at equal K.
-        c = CoefficientSequence((0, 1, 0, 1) * 6)
+        c = sequence((0, 1, 0, 1) * 6)
         assert detect_ultimate_period(c, 6, 6) == (0, 2)
 
 
 class TestCollapse:
     def test_constant_block(self):
-        c = ultimately_periodic([], [1, 1, 1], 12)
+        c = sequence(ultimately_periodic([], [1, 1, 1], 12))
         assert period_collapse_test(c, 1, 3) is True
 
     def test_nonconstant_block(self):
-        c = ultimately_periodic([], [1, 0, 0], 12)
+        c = sequence(ultimately_periodic([], [1, 0, 0], 12))
         assert period_collapse_test(c, 1, 3) is False
 
     def test_pair_block_any_value(self):
-        c = ultimately_periodic([], [5, 5], 10)
+        c = sequence(ultimately_periodic([], [5, 5], 10))
         assert period_collapse_test(c, 1, 2) is True
 
     def test_float_alphabet_roots_path(self):
-        c = ultimately_periodic([], [0.5, 0.5, 0.5], 12)
+        c = sequence(ultimately_periodic([], [0.5, 0.5, 0.5], 12))
         assert period_collapse_test(c, 1, 3) is True
 
     def test_invalid_period_rejected(self):
-        c = CoefficientSequence((0, 1, 0, 0, 1, 0, 0, 1, 0))
+        c = sequence((0, 1, 0, 0, 1, 0, 0, 1, 0))
         with pytest.raises(ValueError, match="not a period"):
             period_collapse_test(c, 0, 2)
 
@@ -176,44 +176,36 @@ class TestCollapse:
         for _ in range(100):
             pre = [rng.randint(0, 1) for _ in range(rng.randint(0, 6))]
             block = [rng.randint(0, 1) for _ in range(rng.randint(1, 5))]
-            c = ultimately_periodic(pre, block, 60)
+            values = ultimately_periodic(pre, block, 60)
+            c = sequence(values)
             found = detect_ultimate_period(c, 20, 10)
             assert found is not None
             k, q = found
             collapsed = period_collapse_test(c, k, q)
-            tail_constant = len(set(c.values[k:])) == 1
+            tail_constant = len(set(values[k:])) == 1
             assert collapsed == tail_constant
+
+
+def _assert_same_sequence(c, d):
+    assert c.codes.dtype == d.codes.dtype and np.array_equal(c.codes, d.codes)
+    assert np.array_equal(c.symbols, d.symbols)
 
 
 class TestCoeffsFile:
     def test_round_trip(self):
-        c = CoefficientSequence((0, 1, 1, 0, 0, 0, 1), frozenset({0, 1}))
-        buf = io.StringIO()
-        write_coeffs_file(c, buf)
-        buf.seek(0)
-        back = read_coeffs_file(buf)
-        assert (back.values, back.alphabet) == (c.values, c.alphabet)
+        values, alphabet = (0, 1, 1, 0, 0, 0, 1), frozenset({0, 1})
+        back = read_coeffs_file(io.StringIO(coeffs_text(values, alphabet)))
+        _assert_same_sequence(back, sequence(values, alphabet))
 
-    def test_round_trip_keeps_mixed_int_and_complex_values(self):
+    def test_round_trip_of_mixed_int_and_complex_values(self):
         rng = random.Random(43)
         alphabet = (0, 2, -3, 1j, 1 + 1j, -0.5 + 0j, 2.5j)
         values = [0]
         while len(values) < 400:
             values += [rng.choice(alphabet)] * rng.randint(1, 4)
-        c = CoefficientSequence(tuple(values), frozenset(alphabet))
-        buf = io.StringIO()
-        write_coeffs_file(c, buf)
-        buf.seek(0)
-        back = read_coeffs_file(buf)
-        assert (back.values, back.alphabet) == (c.values, c.alphabet)
-        assert [type(v) for v in back.values] == [type(v) for v in values]
-        assert {type(v) for v in back.alphabet} == {int, complex}
-
-    def test_rle_compactness(self):
-        c = CoefficientSequence((0,) * 50 + (1,) * 50)
-        buf = io.StringIO()
-        write_coeffs_file(c, buf)
-        assert "50*0 50*1" in buf.getvalue()
+        back = read_coeffs_file(io.StringIO(coeffs_text(values, frozenset(alphabet))))
+        _assert_same_sequence(back, sequence(values, frozenset(alphabet)))
+        assert list(back.symbols[back.codes]) == values
 
     def test_rejects_bad_magic(self):
         with pytest.raises(ValueError):
@@ -249,68 +241,85 @@ def _stated_bound(c: CoefficientSequence, r: float, n_terms: int) -> float:
     return (2 * (width + rows) + 2 * math.pi * n_terms + 20) * (relative + (n_terms + 1) * ETA)
 
 
-def _exact_power_sum(c: CoefficientSequence, r: float, theta: float, n_terms: int) -> complex:
+def _exact_power_sum(values, r: float, theta: float, n_terms: int) -> complex:
     """sum_{n<=A} a_n r^n e(n theta) at 30 digits, r and theta taken as the doubles given."""
     with mpmath.workdps(30):
         z = mpmath.mpf(r) * mpmath.expjpi(2 * mpmath.mpf(theta))
         total, power = mpmath.mpc(0), mpmath.mpc(1)
-        for v in c.values[: n_terms + 1]:
+        for v in values[: n_terms + 1]:
             total += mpmath.mpc(complex(v)) * power
             power *= z
         return complex(total)
 
 
+# The strategies draw (values, alphabet): the tests build the sequence and keep
+# the values for the oracles.
 @st.composite
 def periodic_sequences(draw, max_pre=12, max_block=9, length=80):
     alphabet = draw(st.sampled_from(ALPHABETS))
     pre = draw(st.lists(st.sampled_from(alphabet), max_size=max_pre))
     block = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_block))
-    return ultimately_periodic(pre, block, length)
+    return ultimately_periodic(pre, block, length), frozenset(alphabet)
 
 
 @st.composite
 def random_sequences(draw, max_length=400):
     alphabet = draw(st.sampled_from(ALPHABETS))
     tail = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_length))
-    return CoefficientSequence((0, *tail), frozenset(alphabet))
+    return (0, *tail), frozenset(alphabet)
 
 
 class TestCodes:
     def test_codes_index_the_symbols(self):
-        c = CoefficientSequence((0, 1, 1 + 0j, 2.5, 1j), frozenset({0, 1, 2.5, 1j}))
+        c = sequence((0, 1, 1 + 0j, 2.5, 1j), frozenset({0, 1, 2.5, 1j}))
         assert c.codes.dtype == np.uint8
         assert c.codes[1] == c.codes[2]  # 1 and 1+0j are one symbol
         assert list(c.symbols[c.codes]) == [0, 1, 1, 2.5, 1j]
 
     def test_wide_alphabet_gets_a_wider_dtype(self):
-        c = CoefficientSequence(tuple(range(300)))
+        c = sequence(tuple(range(300)))
         assert c.codes.dtype == np.uint16
         assert list(c.symbols[c.codes]) == list(range(300))
 
     def test_outside_value_message(self):
         with pytest.raises(ValueError, match=r"values outside the declared alphabet: \['2', '3'\]"):
-            CoefficientSequence((0, 2, 1, 3), frozenset({0, 1}))
+            sequence((0, 2, 1, 3), frozenset({0, 1}))
+
+    # Drawn from the alphabets of values a file can hold, ints and complex numbers:
+    # a float such as 2.5 is written as 2.5 and read back as the complex (2.5+0j),
+    # which sorts apart from it.
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=st.one_of(periodic_sequences(), random_sequences()))
+    def test_helper_sequence_is_what_its_file_reads_as(self, drawn):
+        values, alphabet = drawn
+        assume(all(isinstance(v, (int, complex)) for v in alphabet))
+        text = coeffs_text(values, alphabet)
+        built = sequence(values, alphabet)
+        _assert_same_sequence(built, read_coeffs_by_tokens(io.StringIO(text)))
+        _assert_same_sequence(built, read_coeffs_file(io.StringIO(text)))
 
 
 class TestAgainstOracles:
     @settings(max_examples=300, deadline=None)
-    @given(c=st.one_of(periodic_sequences(), random_sequences(max_length=60)),
+    @given(drawn=st.one_of(periodic_sequences(), random_sequences(max_length=60)),
            max_pre=st.integers(0, 20), max_period=st.integers(1, 12))
-    def test_detect_equals_the_scan(self, c, max_pre, max_period):
+    def test_detect_equals_the_scan(self, drawn, max_pre, max_period):
+        values, alphabet = drawn
+        c = sequence(values, alphabet)
         if len(c) < max_pre + 2 * max_period:
             with pytest.raises(ValueError, match="prefix length"):
                 detect_ultimate_period(c, max_pre, max_period)
             return
         found = detect_ultimate_period(c, max_pre, max_period)
-        assert found == detect_ultimate_period_by_scan(c, max_pre, max_period)
+        assert found == detect_ultimate_period_by_scan(values, max_pre, max_period)
         if found is not None:
             k, q = found
-            block = c.values[k : k + q]
+            block = values[k : k + q]
             assert period_collapse_test(c, k, q) == (len(set(block)) == 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        c=random_sequences(),
+        drawn=random_sequences(),
         n_pick=st.integers(0, 400),
         theta1=st.floats(0, 0.9),
         width=st.floats(0.001, 0.1),
@@ -320,35 +329,38 @@ class TestAgainstOracles:
     )
     # A subnormal radius: the error at the middle angle is 5e-324, and the
     # bound's relative part u sum |a_n| r^n rounds to 0 (only eta covers it).
-    @example(c=CoefficientSequence((0, 2), frozenset({0, 1, 2, 7})), n_pick=1, theta1=0.0,
+    @example(drawn=((0, 2), frozenset({0, 1, 2, 7})), n_pick=1, theta1=0.0,
              width=0.0625, radii=[2.2250738585e-313], n_theta=3, points=[(0, 1), (0, 2)])
-    def test_blocked_sum_within_the_stated_bound(self, c, n_pick, theta1, width, radii, n_theta,
-                                                 points):
+    def test_blocked_sum_within_the_stated_bound(self, drawn, n_pick, theta1, width, radii,
+                                                 n_theta, points):
+        values, alphabet = drawn
+        c = sequence(values, alphabet)
         n_terms = n_pick % len(c)
         sector = SectorSpec(theta1, theta1 + width, tuple(radii), n_theta)
         grid = sector_eval(c, sector, n_terms)
         bounds = [_stated_bound(c, r, n_terms) for r in radii]
-        direct = sector_grid_direct(c, sector, n_terms)
+        direct = sector_grid_direct(values, sector, n_terms)
         for i in range(len(radii)):
             assert np.all(np.abs(grid.values[i] - direct[i]) <= 2 * bounds[i] + 1e-300)
         for i, t in points:
             i, t = i % len(radii), t % n_theta
-            exact = _exact_power_sum(c, radii[i], float(sector.thetas()[t]), n_terms)
+            exact = _exact_power_sum(values, radii[i], float(sector.thetas()[t]), n_terms)
             assert abs(grid.values[i, t] - exact) <= bounds[i]
 
     def test_long_prefix_within_the_stated_bound(self):
         rng = random.Random(3)
-        c = CoefficientSequence((0, *(rng.choice((0, 1, 3, 5)) for _ in range(30000))))
+        values = (0, *(rng.choice((0, 1, 3, 5)) for _ in range(30000)))
+        c = sequence(values)
         sector = SectorSpec(0.31, 0.37, (0.999,), 4)
         grid = sector_eval(c, sector, 30000)
-        exact = _exact_power_sum(c, 0.999, float(sector.thetas()[3]), 30000)
+        exact = _exact_power_sum(values, 0.999, float(sector.thetas()[3]), 30000)
         assert abs(grid.values[0, 3] - exact) <= _stated_bound(c, 0.999, 30000)
 
 
 class TestCollapseIsExactForEveryAlphabet:
     def test_tiny_nonconstant_float_block_does_not_collapse(self):
         # Under a 1e-9 tolerance at the roots of unity this block looked constant.
-        c = ultimately_periodic([], [1e-10 + 0j, 0j], 40)
+        c = sequence(ultimately_periodic([], [1e-10 + 0j, 0j], 40))
         k, q = detect_ultimate_period(c, 4, 4)
         assert q == 2
         assert period_collapse_test(c, k, q) is False
@@ -371,30 +383,6 @@ class TestReaderRunCounts:
         assert len(read_coeffs_file(io.StringIO(text + "\n"))) == 91
         with pytest.raises(ResourceBudgetError, match="over the limit of 100"):
             read_coeffs_file(io.StringIO(text + "10*0\n"))
-
-
-# --- the values tuple, built only when read ------------------------------------
-
-
-class TestValuesBuiltWhenRead:
-    # Equal values spelled apart (1, 1.0, (1+0j)) keep their own types in `values`.
-    TEXT = ("coeffs v1\nalphabet 0 1 2.5 1j\n1*0 3*1 2*1.0 "
-            + "4*(1+0j) 5*2.5 2*1j 1*0 " * 12 + "\n")
-
-    def test_reading_and_both_verbs_build_no_values(self):
-        c = read_coeffs_file(io.StringIO(self.TEXT))
-        detect_ultimate_period(c, 8, 16)
-        sector_eval(c, SectorSpec(0.1, 0.4, (0.9, 0.99)), len(c) - 1)
-        assert "values" not in vars(c)  # functools.cached_property keeps it in the instance dict
-        assert len(c) == len(read_coeffs_by_tokens(io.StringIO(self.TEXT)))
-
-    def test_values_read_later_are_the_oracles(self):
-        c = read_coeffs_file(io.StringIO(self.TEXT))
-        direct = read_coeffs_by_tokens(io.StringIO(self.TEXT))  # values passed in whole
-        assert "values" not in vars(c)
-        assert type(c.values) is tuple and c.values == direct.values
-        assert list(map(type, c.values)) == list(map(type, direct.values))
-        assert c.values is c.values
 
 
 # --- the reader per distinct token against the token-by-token oracle ----------
@@ -438,10 +426,7 @@ def _assert_same_reading(text):
     if isinstance(slow, Exception):
         assert (type(fast), str(fast)) == (type(slow), str(slow))
         return
-    assert (fast.values, fast.alphabet) == (slow.values, slow.alphabet)
-    assert fast.codes.dtype == slow.codes.dtype and np.array_equal(fast.codes, slow.codes)
-    assert np.array_equal(fast.symbols, slow.symbols)
-    assert list(map(type, fast.values)) == list(map(type, slow.values))
+    _assert_same_sequence(fast, slow)
 
 
 class TestReaderAgainstTokenOracle:
@@ -472,13 +457,10 @@ class TestReaderAgainstTokenOracle:
         error = _read(read_coeffs_file, text)
         assert ("at least 63 values" if crossing_first else own_error) in str(error)
 
-    def test_equal_spellings_share_a_code_and_keep_their_types(self):
+    def test_equal_spellings_share_a_code(self):
         text = "coeffs v1\nalphabet 0 1\n1*0 2*1 1*1.0 3*(1+0j) 2*1 1*0j\n"
         c = read_coeffs_file(io.StringIO(text))
-        direct = read_coeffs_by_tokens(io.StringIO(text))
-        assert (c.values, c.alphabet) == (direct.values, direct.alphabet)
-        assert list(map(type, c.values)) == [int, int, int, complex, complex, complex, complex,
-                                             int, int, complex]
+        _assert_same_sequence(c, read_coeffs_by_tokens(io.StringIO(text)))
         assert len(set(c.codes[1:9].tolist())) == 1
 
     @pytest.mark.parametrize("alphabet, runs", [("0 nan", "1*0 3*nan"), ("0 1", "1*0 2*1 3*nan"),

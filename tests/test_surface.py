@@ -19,7 +19,6 @@ SOURCES = sorted(Path(besum.__file__).parent.glob("*.py"))
 # Public names kept although nothing in the package calls them, each with its reason.
 ALLOWED = {
     "SumTrace.add_unit": "the benchmark's tracer test reads it (bench/test_benchmark.py)",
-    "write_coeffs_file": "the writer of the format read_coeffs_file reads",
 }
 
 
