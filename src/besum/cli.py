@@ -24,7 +24,6 @@ import click
 from . import __version__
 from .construction import (
     DigitConstraintSet,
-    RationalProfile,
     ResourceBudgetError,
     af_elements,
     af_sum_factoradic,
@@ -36,6 +35,7 @@ from .construction import (
     get_weights,
     membership,
     profile,
+    rational_sums,
     sample_e_set,
 )
 from .dimension import condition_ii_check, dimension_lower_estimate, mass_check
@@ -318,7 +318,7 @@ def sup_sweep(f, qmax, N):
                 continue
             trace = af_sum_rational(f, p, q, N)
             rhs = eq4_rhs(f, p, q)
-            tail_sup = profile(RationalProfile, f, p, q).tail_sup(N)
+            tail_sup = profile(rational_sums, f, p, q).max_modulus(q - 1, N)
             rows.append({
                 "alpha_num": p, "alpha_den": q, "N": N,
                 "empirical_sup": trace.sup_modulus, "sup_at": trace.sup_at,

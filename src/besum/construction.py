@@ -1,11 +1,13 @@
 """The factorial-shifted sets A(f) = {n + f(n)!} and digit-capped sets E(f,a).
 
 Two sum paths are provided.  The rational path reduces every phase
-exactly with modular arithmetic (f(n)! mod q vanishes once f(n) >= q,
-so only finitely many factorial residues are ever needed and f(n)! is
-never materialized); past them the partial sums are periodic, so every
-N costs the same head plus one period (`RationalProfile`).  The
-factoradic path steps each phase as an integer mod depth! from the digit
+exactly with modular arithmetic: f(n)! mod q is read from a table of
+m! mod q that ends at S(q), the least m with q | m!, so f(n)! is never
+materialized.  The n with f(n) < S(q) are the head; past it term n is
+e(n p/q), a geometric series in closed form, so every N costs the head
+read so far plus O(log q) (`rational_sums`, an `expsum.GeometricTail`;
+S(q) is at most RATIONAL_MAX_HEAD).
+The factoradic path steps each phase as an integer mod depth! from the digit
 prefix and carries a rigorous bound on the error from the digits it does
 not know (`phase_error`); the float rounding of the phases and of the
 running sum is not in that bound.
@@ -24,9 +26,7 @@ from fractions import Fraction
 from math import factorial, lgamma, perm
 from typing import Callable, Iterator
 
-import numpy as np
-
-from .expsum import RootSums, SumTrace, dirichlet_bound, e
+from .expsum import GeometricTail, SumTrace, dirichlet_bound, e, prime_powers
 from .factoradic import (
     FactoradicReal,
     InsufficientDepthError,
@@ -37,11 +37,11 @@ from .factoradic import (
 
 # Most bits an exact element n + f(n)! may need (`construct`, af_elements).
 BIT_BUDGET = 10**7
-# Largest denominator a RationalProfile accepts.  Building one peaks at
-# about 44 bytes a term over its H + q < 2q terms (the residue, root, sum
-# and modulus arrays), so q = 10^7 takes up to 0.9 GB, and for
-# f = identity at a prime q the head alone is q - 1 Python steps.
-RATIONAL_MAX_Q = 10**7
+# Largest S(q), the least m with q | m!, a rational angle p/q may have.
+# Its head steps the table of m! mod q no further than S(q), one modular
+# product per m (about 1 s at 10^7) and 40 bytes per head term; a long
+# period past it costs O(log q) per read and no memory, whatever N.
+RATIONAL_MAX_HEAD = 10**7
 # Deepest sample sample_e_set draws: its digit-count table and its digits
 # are Python lists of that length.
 SAMPLE_MAX_DEPTH = 10**6
@@ -218,10 +218,12 @@ def check_bit_budget(f: GrowthFunction, n: int) -> None:
 
 
 def _factorials(f: GrowthFunction, q: int = 0) -> Iterator[int]:
-    """f(1)!, f(2)!, ..., each reduced mod q when q is given; never ends.
+    """f(1)!, f(2)!, ..., each reduced mod q when q is given.
 
-    Incremental products: step n multiplies in f(n-1)+1 .. f(n).  Each
-    consumer stops the stream itself.
+    Incremental products: step n multiplies in f(n-1)+1 .. f(n).  Mod q
+    the stream ends before the first f(n)! = 0 mod q, having multiplied in
+    no factor past S(q), the least m with q | m!; else each consumer stops
+    it.
     """
     fact = 1
     arg = 0
@@ -229,6 +231,8 @@ def _factorials(f: GrowthFunction, q: int = 0) -> Iterator[int]:
         v = f(n)
         for k in range(arg + 1, v + 1):
             fact = fact * k % q if q else fact * k
+            if not fact:
+                return
         arg = v
         yield fact
 
@@ -241,12 +245,31 @@ def af_elements(f: GrowthFunction, n_max: int) -> list[int]:
     return [n + fact for n, fact in zip(range(1, n_max + 1), _factorials(f))]
 
 
-def _head_residues(f: GrowthFunction, q: int) -> np.ndarray:
-    """f(n)! mod q for n = 1..H, the n before the first f(n)! = 0 mod q.
+@functools.lru_cache(maxsize=64)
+def _kempner(q: int, bound: int) -> int:
+    """S(q), the least m with q | m!, if it is at most bound, else a number over bound.
 
-    H < q because f(n) >= n, so q | f(q)!.
+    S(q) is the largest S(r^k) over the prime powers r^k of q.  Trial
+    division stops at bound: a cofactor with no prime factor up to it has
+    only larger ones, and S(r^k) >= r.  Cached, since a sweep reads each q
+    once per numerator.
     """
-    return np.fromiter(itertools.takewhile(bool, _factorials(f, q)), dtype=np.int64)
+    powers, s = prime_powers(q, bound)
+    for d, k in powers.items():
+        lo, hi = 1, d * k  # S(d^k): the least m with d^k | m!, by bisection
+        while lo < hi:
+            mid, power, t = (lo + hi) // 2, 0, (lo + hi) // 2
+            while t:
+                t //= d
+                power += t  # the exponent of d in mid!, after Legendre
+            lo, hi = (lo, mid) if power >= k else (mid + 1, hi)
+        s = max(s, lo)
+    return s
+
+
+def _head_residues(f: GrowthFunction, p: int, q: int) -> Iterator[int]:
+    """(n + f(n)!) p mod q for the n with f(n)! mod q not 0, which are the n with f(n) < S(q)."""
+    return ((n + fact) * p % q for n, fact in enumerate(_factorials(f, q), 1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -261,78 +284,44 @@ def profile(kind: type, *key):
     return kind(*key)
 
 
-class RationalProfile:
-    """S(N) = sum_{n<=N} e((n + f(n)!) p/q) for every N, from H + q terms.
+def rational_sums(f: GrowthFunction, p: int, q: int) -> GeometricTail:
+    """S(N) = sum_{n<=N} e((n + f(n)!) p/q) for every N: the GeometricTail of A(f) at p/q.
 
-    The head n <= H has f(n)! != 0 mod q (H < q); past it term n is
-    e(n p/q), and any q consecutive such terms sum to 0 (q does not divide
-    p), so S(N) = S(N - kq) for N > H + q.  `window(N)` is the index
-    <= H + q with the same partial sum, and every value, sup and first sup
-    index is read from the H + q partial sums in `sums`.
+    The head is n <= H = max{n : f(n) < S(q)}; it is stepped only as far
+    as a read asks.  S(q) is checked against RATIONAL_MAX_HEAD first, before
+    any stepping.
     """
-
-    def __init__(self, f: GrowthFunction, p: int, q: int):
-        if q < 2:
-            raise ValueError("q must be >= 2")
-        if p % q == 0:
-            raise ValueError(f"p/q = {p}/{q} is an integer")
-        if q > RATIONAL_MAX_Q:  # before the head, which alone may take q - 1 steps
-            raise ResourceBudgetError(
-                f"a profile at denominator q = {q} holds up to 2q terms, over the limit of "
-                f"q <= {RATIONAL_MAX_Q} (construction.RATIONAL_MAX_Q)"
-            )
-        head = _head_residues(f, q)
-        self.head = len(head)
-        self.q = q
-        residues = np.arange(1, self.head + q + 1, dtype=np.int64)
-        residues[:self.head] += head
-        residues *= p % q
-        residues %= q
-        self.sums = RootSums(residues, q)
-
-    def window(self, n: int) -> int:
-        if n <= len(self.sums):
-            return n
-        return self.head + (n - self.head - 1) % self.q + 1
-
-    def value(self, n: int) -> complex:
-        return complex(self.sums.sums[self.window(n) - 1])
-
-    def sup(self, n: int) -> tuple[float, int]:
-        """(sup of |S(m)| over m <= n, the first m attaining it exactly)."""
-        return self.sums.sup(min(n, len(self.sums)))
-
-    def tail_sup(self, n_max: int) -> float:
-        """max |S(N)| over q - 1 <= N <= n_max (0.0 if none): where eq4_rhs applies.
-
-        N = H + q + j repeats window H + j, so N past H + q adds windows
-        H + 1 .. H + min(q, n_max - H - q).
-        """
-        lo = self.q - 1
-        if n_max < lo:
-            return 0.0
-        moduli = self.sums.moduli
-        top = moduli[lo - 1:min(n_max, len(moduli))].max()
-        if n_max > len(moduli):
-            top = max(top, moduli[self.head:self.head + min(self.q, n_max - len(moduli))].max())
-        return float(top)
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    if p % q == 0:
+        raise ValueError(f"p/q = {p}/{q} is an integer")
+    s = _kempner(q, RATIONAL_MAX_HEAD)
+    if s > RATIONAL_MAX_HEAD:
+        raise ResourceBudgetError(
+            f"the denominator q = {q} has S(q), the least m with q | m!, over the limit of "
+            f"{RATIONAL_MAX_HEAD} (construction.RATIONAL_MAX_HEAD)")
+    return GeometricTail(p, q, _head_residues(f, p % q, q))
 
 
 def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> SumTrace:
-    """sum_{n<=N} e((n + f(n)!) p/q) as its prefix-sup trace, in O(q) for any N.
+    """sum_{n<=N} e((n + f(n)!) p/q) as its prefix-sup trace, for any N.
 
-    Read from the (f, p, q) RationalProfile: the sum is S(window(N)), the
-    sup the max over the first min(N, H + q) partial sums, and sup_at the
-    first index at which the exact sup is reached.  Float error: the sum,
-    its modulus and the sup are each within the profile's
-    sums.error = (H + q + 1)(32u + 2u sup) of exact (u = 2^-53) whatever N,
-    which is below 1e-9 for q <= 1000.  trace.count is N.
+    Read from the (f, p, q) rational_sums: the sum is S(N), the sup the max
+    of |S(m)| over m <= N, and sup_at the first m at which the exact sup is
+    reached.  The cost is the head read so far plus, for a long period
+    (q past expsum.SHORT_PERIOD = 3000), O(log q) window searches; a short
+    one is summed through H + q once.  Float error: the sum, its modulus
+    and the sup are each within its error(N) of exact: (m + 2)(32u + 2u M)
+    over the m terms summed (min(N, H), or min(N, H + q) for a short
+    period), M the largest |S| they reach; past them another T (32u + 16u),
+    with T = min(N - H, q, 1/sin(pi p/q)), and M + T for M (u = 2^-53).
+    That is below 1e-9 for q <= 1000.  trace.count is N.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    rational = profile(RationalProfile, f, p, q)
-    total = rational.value(n_terms)
-    sup, sup_at = rational.sup(n_terms)
+    sums = profile(rational_sums, f, p, q)
+    total = sums.value(n_terms)
+    sup, sup_at = sums.sup(n_terms)
     return SumTrace(total.real, total.imag, n_terms, sup, sup_at)
 
 
@@ -497,9 +486,9 @@ def eq4_rhs(f: GrowthFunction, p: int, q: int) -> float:
 
     |sum_{n<q} e((n + f(n)!) p/q)| + 2 * dirichlet_bound(p/q) + 1.
 
-    The head sum is S(q - 1) of the (f, p, q) RationalProfile, the value
-    af_sum_rational(f, p, q, q - 1) returns, within the profile's
-    sums.error; the rest adds a few ulps.
+    The head sum is S(q - 1) of the (f, p, q) rational_sums, the value
+    af_sum_rational(f, p, q, q - 1) returns, within its error(q - 1); the
+    rest adds a few ulps.
     """
-    head_sum = profile(RationalProfile, f, p, q).value(q - 1)
+    head_sum = profile(rational_sums, f, p, q).value(q - 1)
     return abs(head_sum) + 2.0 * dirichlet_bound(Fraction(p, q)) + 1.0

@@ -16,12 +16,15 @@ object is kept per term.
 A coefficient file is run-length encoded over a handful of distinct
 tokens, so `read_coeffs_file` costs one dict lookup per token (the id of
 its distinct token) and one `np.repeat` of the distinct tokens' codes by
-their counts; each distinct token is parsed and checked once.
+their counts; each distinct token is parsed and checked once.  The runs
+are read a fixed number of characters at a time, and their running
+length is checked after each chunk.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -33,8 +36,12 @@ import numpy as np
 from .construction import ResourceBudgetError
 
 # Longest coefficient file read_coeffs_file accepts: 10^7 terms take 10 MB
-# of codes (one byte a term for a small alphabet).
+# of codes (one byte a term for a small alphabet).  While a file is read,
+# each run token costs 12 bytes (its id and run length), and the text is
+# read _COEFFS_CHUNK characters at a time, so a file past the limit is
+# refused within one chunk of it.
 COEFFS_MAX_LENGTH = 10**7
+_COEFFS_CHUNK = 1 << 16
 # Largest phase table sector_eval builds: (B + Q) n_theta complex doubles,
 # 160 MB at the limit, and one radius's products about as much again
 # (0.4 GB peak at the limit).
@@ -263,43 +270,69 @@ def read_coeffs_file(fp: TextIO) -> CoefficientSequence:
     Errors are those of a reader going token by token: the first bad token
     wins unless the runs before it already pass COEFFS_MAX_LENGTH.
     """
-    lines = [ln.strip() for ln in fp if ln.strip()]
-    if not lines or lines[0] != COEFFS_MAGIC:
+    header = []
+    for ln in fp:
+        if ln.strip():
+            header.append(ln.strip())
+            if len(header) == 2:
+                break
+    if not header or header[0] != COEFFS_MAGIC:
         raise ValueError(f"missing '{COEFFS_MAGIC}' header")
-    if len(lines) < 3 or not lines[1].startswith("alphabet "):
+    chunks = _body_tokens(fp)
+    first = next(chunks, None)
+    if first is None or len(header) < 2 or not header[1].startswith("alphabet "):
         raise ValueError("missing alphabet declaration")
-    alphabet = frozenset(map(_parse_value, lines[1].split()[1:]))
-    tokens = " ".join(lines[2:]).split()
+    alphabet = frozenset(map(_parse_value, header[1].split()[1:]))
     distinct = defaultdict(count().__next__)  # token -> its id, in order of first appearance
-    id_type = np.min_scalar_type(len(tokens))  # every id is below the token count
-    ids = np.fromiter(map(distinct.__getitem__, tokens), id_type, len(tokens))
-    del lines, tokens  # freed before the per-value arrays are built
     parsed = []  # (count, value) of each distinct token
-    try:
-        for tok in distinct:
-            count_s, _, val_s = tok.partition("*")
-            n = int(count_s)
-            if n < 1:
-                raise ValueError(f"run {tok!r}: the count must be >= 1")
-            if n > COEFFS_MAX_LENGTH:
-                raise _over_length_limit(n)
-            parsed.append((n, _parse_value(val_s)))
-    except (ValueError, ResourceBudgetError):
-        first_bad = int(np.argmax(ids == len(parsed)))
-        _check_length(np.array([n for n, _ in parsed], np.int64)[ids[:first_bad]])
-        raise
-    run_counts, run_values = zip(*parsed)
-    lengths = np.array(run_counts, np.int64)[ids]
-    _check_length(lengths)
-    return CoefficientSequence(alphabet, np.array(run_values, dtype=object), ids, lengths)
+    counts = np.zeros(0, np.int64)  # the count of each distinct token, by id
+    ids, total = [], 0
+    for tokens in itertools.chain([first], chunks):
+        chunk = np.fromiter(map(distinct.__getitem__, tokens), np.uint32, len(tokens))
+        try:
+            for tok in itertools.islice(distinct, len(parsed), None):
+                count_s, _, val_s = tok.partition("*")
+                n = int(count_s)
+                if n < 1:
+                    raise ValueError(f"run {tok!r}: the count must be >= 1")
+                if n > COEFFS_MAX_LENGTH:
+                    raise _over_length_limit(n)
+                parsed.append((n, _parse_value(val_s)))
+        except (ValueError, ResourceBudgetError):
+            first_bad = int(np.argmax(chunk == len(parsed)))
+            counts = np.array([n for n, _ in parsed], np.int64)
+            _check_length(counts[chunk[:first_bad]], total)
+            raise
+        counts = np.array([n for n, _ in parsed], np.int64) if len(counts) < len(parsed) else counts
+        total = _check_length(counts[chunk], total)
+        ids.append(chunk)
+    ids = np.concatenate(ids)
+    return CoefficientSequence(alphabet, np.array([v for _, v in parsed], dtype=object), ids,
+                               counts[ids])
 
 
-def _check_length(lengths: np.ndarray) -> None:
-    """ResourceBudgetError, at the first run that ends past COEFFS_MAX_LENGTH, if any does."""
-    ends = np.cumsum(lengths)
+def _body_tokens(fp: TextIO):
+    """The whitespace-separated tokens of the rest of fp, one list per _COEFFS_CHUNK
+    characters read; a token that a chunk's end cuts goes to the next list whole."""
+    carry = ""
+    while True:
+        text = fp.read(_COEFFS_CHUNK)
+        tokens = (carry + text).split()
+        carry = tokens.pop() if text and tokens and not text[-1].isspace() else ""
+        if tokens:
+            yield tokens
+        if not text:
+            return
+
+
+def _check_length(lengths: np.ndarray, before: int = 0) -> int:
+    """before + the total of lengths; ResourceBudgetError at the first run that ends
+    past COEFFS_MAX_LENGTH, if any does."""
+    ends = before + np.cumsum(lengths)
     over = int(np.searchsorted(ends, COEFFS_MAX_LENGTH, side="right"))
     if over < len(ends):
         raise _over_length_limit(int(ends[over]))
+    return int(ends[-1]) if len(ends) else before
 
 
 def _over_length_limit(length: int) -> ResourceBudgetError:

@@ -25,13 +25,13 @@ from besum.cli import Columns, _csv_text, _json_text, main
 from besum.construction import (
     DigitConstraintSet,
     FactoradicProfile,
-    RationalProfile,
     get_growth,
     get_weights,
     profile,
+    rational_sums,
 )
 from besum.dimension import condition_ii_check
-from besum.expsum import RootSums
+from besum.expsum import GeometricTail
 from besum.factoradic import encode, write_digit_file
 from besum.periodicity import SectorGrid
 from periodicity_oracles import coeffs_text
@@ -126,7 +126,7 @@ class TestSumVerb:
         assert not isinstance(result.exception, IndexError)
 
     def test_one_profile_per_invocation(self, runner, builds):
-        built = builds(RationalProfile)
+        built = builds(GeometricTail)
         for runs in (1, 2):
             result = runner.invoke(main, ["sum", "--alpha", "2/7", "--N", "1000"])
             assert result.exit_code == 0, result.output
@@ -136,14 +136,14 @@ class TestSumVerb:
             assert built[-1]() is None
 
     def test_sup_sweep_builds_and_sups_each_angle_once(self, runner, builds, monkeypatch):
-        built = builds(RationalProfile)
+        built = builds(GeometricTail)
         sups = []
-        sup = RootSums.sup
+        sup = GeometricTail.sup
 
         def counted(sums, n):
             sups.append(n)
             return sup(sums, n)
-        monkeypatch.setattr(RootSums, "sup", counted)
+        monkeypatch.setattr(GeometricTail, "sup", counted)
         result = runner.invoke(main, ["sup-sweep", "--qmax", "5", "--N", "50"])
         assert result.exit_code == 0, result.output
         # Nine reduced p/q with q <= 5: each profile is built once and read for the sum, the
@@ -154,10 +154,10 @@ class TestSumVerb:
     def test_a_profile_is_freed_when_the_next_angle_is_read(self):
         f = get_growth("n2")
         profile.cache_clear()
-        first = weakref.ref(profile(RationalProfile, f, 1, 7))
-        profile(RationalProfile, f, 1, 7)
+        first = weakref.ref(profile(rational_sums, f, 1, 7))
+        profile(rational_sums, f, 1, 7)
         assert first() is not None
-        profile(RationalProfile, f, 2, 7)
+        profile(rational_sums, f, 2, 7)
         assert first() is None
 
     def test_a_depth_error_leaves_no_profile(self, runner, builds, tmp_path):
@@ -171,18 +171,30 @@ class TestSumVerb:
         gc.collect()
         assert built[0]() is None
 
-    @pytest.mark.parametrize("alpha", ["1/10000000000", "1e-30"])
-    def test_huge_denominator_is_a_budget_error(self, runner, alpha):
+    @pytest.mark.parametrize("alpha", ["1/10000019", "3/20000038", "1/100000980001501"])
+    def test_denominator_past_the_head_limit_is_a_budget_error(self, runner, alpha):
+        # The prime factor 10000019 puts S(q) over the limit, also as 10000019 * 10000079,
+        # which trial division up to the limit must rule out.
         result = runner.invoke(main, ["sum", "--alpha", alpha, "--N", "5"])
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "over the limit of q <= 10000000" in result.output
+        assert "over the limit of 10000000 (construction.RATIONAL_MAX_HEAD)" in result.output
 
-    def test_denominator_limit_is_checked_before_the_head(self, runner, monkeypatch):
-        monkeypatch.setattr("besum.construction.RATIONAL_MAX_Q", 100)
-        monkeypatch.setattr("besum.construction._head_residues", None)  # stepping it would fail
-        result = runner.invoke(main, ["sum", "--f", "identity", "--alpha", "1/101", "--N", "5"])
-        assert result.exit_code == 3, result.output
+    @pytest.mark.parametrize("alpha", ["1/10000000000", "1e-30", "7/1180591620717411303424"])
+    def test_huge_smooth_denominator_has_a_short_head(self, runner, alpha):
+        # S(10^10) = 45, S(10^30) = 125 and S(2^70) = 72: heads of a few terms.
+        result = runner.invoke(main, ["sum", "--alpha", alpha, "--N", str(10**15)])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("alpha, code", [("1/97", 0), ("1/101", 3), ("1/1022117", 3)])
+    def test_head_limit_is_checked_before_the_head(self, runner, monkeypatch, alpha, code):
+        # With the limit at 100, S(97) = 97 passes; S(101) = 101 and S(1009 * 1013) = 1013 do
+        # not, found by trial division that stops at 100.
+        monkeypatch.setattr("besum.construction.RATIONAL_MAX_HEAD", 100)
+        if code:
+            monkeypatch.setattr("besum.construction._head_residues", None)  # stepping would fail
+        result = runner.invoke(main, ["sum", "--f", "identity", "--alpha", alpha, "--N", "5"])
+        assert result.exit_code == code, result.output
 
     def test_huge_n(self, runner):
         result = runner.invoke(main, ["sum", "--f", "identity", "--alpha", "500/997",
@@ -342,6 +354,17 @@ class TestVerbs:
         assert float(row["empirical_sup"]) > float(row["bound_rhs"])
         assert float(row["tail_sup"]) <= float(row["bound_rhs"])
         assert all(r["ok"] == "True" for r in rows)
+
+    def test_sup_sweep_tail_sup_is_0_below_q_minus_1(self, runner):
+        # eq4_rhs bounds |S(N)| for N >= q - 1 only; with N = 5 no such N exists past q = 6.
+        result = runner.invoke(main, ["sup-sweep", "--qmax", "11", "--N", "5"])
+        assert result.exit_code == 0, result.output
+        lines = [ln for ln in result.output.splitlines() if not ln.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+        assert {r["alpha_den"] for r in rows} == {str(q) for q in range(2, 12)}
+        for r in rows:
+            assert (float(r["tail_sup"]) == 0.0) == (int(r["alpha_den"]) > 6)
+            assert r["ok"] == "True"
 
     def test_sup_sweep_at_huge_n(self, runner):
         result = runner.invoke(main, ["sup-sweep", "--qmax", "40", "--N", str(10**12)])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from besum.construction import (
     ResourceBudgetError,
     WeightSequence,
     _head_residues,
+    _kempner,
     _reciprocal_sum,
     af_elements,
     af_sum_factoradic,
@@ -27,7 +29,7 @@ from besum.construction import (
     membership,
     sample_e_set,
 )
-from besum.expsum import dirichlet_bound, e
+from besum.expsum import dirichlet_bound, e, prime_powers
 from besum.factoradic import (
     FactoradicReal,
     InsufficientDepthError,
@@ -89,15 +91,40 @@ class TestAfElements:
 
 
 def test_congruence_oracle():
-    # (n + f(n)!) mod q = n mod q once f(n) >= q, against big integers.
-    for q in range(2, 21):
-        head = _head_residues(F_N2, q)
-        residues = list(head) + [0] * (30 - len(head))
+    # S(q) is the least m with q | m!; the head is the n with f(n)! != 0 mod q, each
+    # residue (n + f(n)!) mod q against big integers, and past it the residue is n mod q.
+    for q in range(2, 61):
+        s = _kempner(q, 10**7)
+        assert factorial(s) % q == 0 and factorial(s - 1) % q != 0
+        head = list(itertools.islice(_head_residues(F_N2, 1, q), 31))  # a stream that never ends fails
         for n in range(1, 31):
             exact = (n + factorial(F_N2(n))) % q
-            assert (n + residues[n - 1]) % q == exact
-            if F_N2(n) >= q:
-                assert exact == n % q
+            in_head = factorial(F_N2(n)) % q != 0
+            assert (n <= len(head)) == in_head
+            assert (head[n - 1] if in_head else n % q) == exact
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# Products of the primes just below 2^18, 2^19 and 2^20, at the ends of the search's blocks.
+EDGE_PRIMES = [262139, 524287, 1048573]
+
+
+@given(q=st.one_of(st.integers(2, 10**9), st.sampled_from(
+           [a * b for a in EDGE_PRIMES for b in EDGE_PRIMES] + [2**64 * 3**5 * 524287])),
+       bound=st.integers(2, 10**7))
+@settings(max_examples=150, deadline=None)
+def test_prime_powers_by_trial_division(q, bound):
+    # The prime powers of q up to bound, and a rest with no prime factor up to bound
+    # (1 or a prime when the search passed its square root).
+    powers, rest = prime_powers(q, bound)
+    assert math.prod(r**k for r, k in powers.items()) * rest == q
+    assert all(r <= bound and _is_prime(r) for r in powers)
+    assert all(rest % r for r in range(2, min(bound, math.isqrt(rest)) + 1))
+    if rest > 1 and bound >= math.isqrt(rest):
+        assert _is_prime(rest)
 
 
 class TestAfSumRational:

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -435,6 +436,35 @@ class TestReaderAgainstTokenOracle:
     def test_same_sequence_or_same_error(self, text, limit):
         with mock.patch.object(periodicity, "COEFFS_MAX_LENGTH", limit):
             _assert_same_reading(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_rle_files(), limit=st.one_of(st.integers(1, 400), st.just(10**7)),
+           chunk=st.integers(1, 12))
+    def test_tokens_cut_by_a_chunk_end_read_whole(self, text, limit, chunk):
+        with mock.patch.object(periodicity, "COEFFS_MAX_LENGTH", limit), \
+                mock.patch.object(periodicity, "_COEFFS_CHUNK", chunk):
+            _assert_same_reading(text)
+
+    @pytest.mark.parametrize("limit, bound", [(100, 2_000_000), (10**7, 30_000_000)])
+    def test_reading_a_long_file_holds_no_str_per_token(self, tmp_path, monkeypatch, limit, bound):
+        # 10^6 run tokens (5.4 MB): refused over a limit of 100 within one chunk, and
+        # read within the limit holding ids and run lengths, not one str per token.
+        path = tmp_path / "long.coeffs"
+        rng = np.random.default_rng(2)
+        runs = " ".join(f"{n}*{v}" for n, v in zip(rng.integers(1, 4, 10**6), rng.integers(0, 2, 10**6)))
+        path.write_text(f"coeffs v1\nalphabet 0 1\n1*0 {runs}\n")
+        monkeypatch.setattr(periodicity, "COEFFS_MAX_LENGTH", limit)
+        tracemalloc.start()
+        try:
+            with open(path) as fp:
+                try:
+                    read_coeffs_file(fp)
+                except ResourceBudgetError:
+                    assert limit == 100
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     # Each bad token's own error when the runs before it stay within the limit of 40.
     # A value outside the alphabet is only found once every token is read, so the
