@@ -1,16 +1,13 @@
 """The factorial-shifted sets A(f) = {n + f(n)!} and digit-capped sets E(f,a).
 
-Two sum paths are provided.  The rational path reduces every phase
-exactly with modular arithmetic: f(n)! mod q is read from a table of
-m! mod q that ends at S(q), the least m with q | m!, so f(n)! is never
-materialized.  The n with f(n) < S(q) are the head; past it term n is
-e(n p/q), a geometric series in closed form, so every N costs the head
-read so far plus O(log q) (`rational_sums`, an `expsum.GeometricTail`;
-S(q) is at most RATIONAL_MAX_HEAD).
-The factoradic path steps each phase as an integer mod depth! from the digit
-prefix and carries a rigorous bound on the error from the digits it does
-not know (`phase_error`); the float rounding of the phases and of the
-running sum is not in that bound.
+Every exact angle p/q is summed one way, on an `expsum.GeometricTail`: its
+head steps f(n)! p mod q (`_factorials`), never forming f(n)!, until
+f(n)! p = 0 mod q, by f(n) = S(q), the least m with q | m!; past it term n
+is e(n p/q), a geometric series in closed form, so every N costs the head
+read so far plus O(log q).  A rational angle (`rational_sums`) has S(q) at
+most RATIONAL_MAX_HEAD; a digit angle (`digit_sums`) is its prefix
+X/depth!, and an UNKNOWN tail adds a bound on the error from the digits it
+does not know (`phase_error`).  Float errors are the engine's `error`.
 
 Sums here are indexed by n (term n is e((n + f(n)!) alpha)).
 """
@@ -26,7 +23,7 @@ from fractions import Fraction
 from math import factorial, lgamma, perm
 from typing import Callable, Iterator
 
-from .expsum import GeometricTail, SumTrace, dirichlet_bound, e, prime_powers
+from .expsum import GeometricTail, SumTrace, dirichlet_bound, prime_powers
 from .factoradic import (
     FactoradicReal,
     InsufficientDepthError,
@@ -38,9 +35,9 @@ from .factoradic import (
 # Most bits an exact element n + f(n)! may need (`construct`, af_elements).
 BIT_BUDGET = 10**7
 # Largest S(q), the least m with q | m!, a rational angle p/q may have.
-# Its head steps the table of m! mod q no further than S(q), one modular
-# product per m (about 1 s at 10^7) and 40 bytes per head term; a long
-# period past it costs O(log q) per read and no memory, whatever N.
+# Its head steps m! mod q up to S(q), one modular product per m: 6.1 s for
+# identity at 1/9999991 (shared 2-vCPU x86), and about 100 bytes per head
+# term read.  A long period past it costs O(log q) per read, whatever N.
 RATIONAL_MAX_HEAD = 10**7
 # Deepest sample sample_e_set draws: its digit-count table and its digits
 # are Python lists of that length.
@@ -217,22 +214,26 @@ def check_bit_budget(f: GrowthFunction, n: int) -> None:
         )
 
 
-def _factorials(f: GrowthFunction, q: int = 0) -> Iterator[int]:
-    """f(1)!, f(2)!, ..., each reduced mod q when q is given.
+def _factorials(f: GrowthFunction, q: int = 0, x: int = 1) -> Iterator[int]:
+    """x f(1)!, x f(2)!, ..., each reduced mod q when q is given.
 
-    Incremental products: step n multiplies in f(n-1)+1 .. f(n).  Mod q
-    the stream ends before the first f(n)! = 0 mod q, having multiplied in
-    no factor past S(q), the least m with q | m!; else each consumer stops
-    it.
+    Step n multiplies in f(n-1)+1 .. f(n): as one perm block unless, mod q,
+    the block may pass q's bits, when it goes one factor at a time.  The
+    stream ends before the first 0, which stays 0; mod q and for x = 1 that
+    is by f(n) = S(q), the least m with q | m!.
     """
-    fact = 1
-    arg = 0
+    fact, arg, bits = x, 0, q.bit_length()
     for n in itertools.count(1):
         v = f(n)
-        for k in range(arg + 1, v + 1):
-            fact = fact * k % q if q else fact * k
-            if not fact:
-                return
+        if q and (v - arg) * v.bit_length() > bits:
+            for k in range(arg + 1, v + 1):
+                fact = fact * k % q
+                if not fact:
+                    return
+        else:
+            fact = fact * perm(v, v - arg) % q if q else fact * perm(v, v - arg)
+        if not fact:
+            return
         arg = v
         yield fact
 
@@ -268,8 +269,8 @@ def _kempner(q: int, bound: int) -> int:
 
 
 def _head_residues(f: GrowthFunction, p: int, q: int) -> Iterator[int]:
-    """(n + f(n)!) p mod q for the n with f(n)! mod q not 0, which are the n with f(n) < S(q)."""
-    return ((n + fact) * p % q for n, fact in enumerate(_factorials(f, q), 1))
+    """(n + f(n)!) p mod q for the n before the first with f(n)! p = 0 mod q."""
+    return ((n * p + fact) % q for n, fact in enumerate(_factorials(f, q, p), 1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -310,12 +311,9 @@ def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> SumTrace
     of |S(m)| over m <= N, and sup_at the first m at which the exact sup is
     reached.  The cost is the head read so far plus, for a long period
     (q past expsum.SHORT_PERIOD = 3000), O(log q) window searches; a short
-    one is summed through H + q once.  Float error: the sum, its modulus
-    and the sup are each within its error(N) of exact: (m + 2)(32u + 2u M)
-    over the m terms summed (min(N, H), or min(N, H + q) for a short
-    period), M the largest |S| they reach; past them another T (32u + 16u),
-    with T = min(N - H, q, 1/sin(pi p/q)), and M + T for M (u = 2^-53).
-    That is below 1e-9 for q <= 1000.  trace.count is N.
+    one is summed through H + q once.  The sum, its modulus and the sup are
+    each within the engine's error(N) of exact, below 1e-9 for q <= 1000.
+    trace.count is N.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
@@ -325,72 +323,38 @@ def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> SumTrace
     return SumTrace(total.real, total.imag, n_terms, sup, sup_at)
 
 
-class FactoradicProfile:
-    """S(N) = sum_{n<=N} e((n + f(n)!) alpha) for every N, alpha given by its digits.
-
-    Term n has phase r/D, D = depth!, r = (n X + f(n)! X) mod D, X/D the
-    prefix (alpha.numerator), rounded once.  n X steps by X; f(n)! X mod D
-    by the block product perm(v, v - v_prev), v = min(f(n), depth), from
-    term 1's frac_factorial, so no factor past depth is formed.  An UNKNOWN
-    tail (f(N) + 1 < depth) keeps f(n)! exact from the same blocks.  The
-    partial sums grow on demand.
-    """
-
-    def __init__(self, f: GrowthFunction, alpha: FactoradicReal):
-        self.f = f
-        self.alpha = alpha
-        self.depth_fact = factorial(alpha.depth)
-        self.sums = [complex(0.0)]  # S(0), S(1), ...
-        self.fact_sums = [0]
-        self._state = None  # (v, G, n X, f(n)!) of the last n
-
-    def value(self, n_terms: int) -> tuple[complex, float]:
-        """(S(N), 2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth!, 0 for a ZERO tail)."""
-        depth, d = self.alpha.depth, self.depth_fact
-        unknown = self.alpha.tail is Tail.UNKNOWN
-        needed = self.f(n_terms) + 1
-        if unknown and depth <= needed:
-            raise InsufficientDepthError(
-                f"N={n_terms} needs digits through position {needed}, have depth {depth}")
-        if self._state is None:  # term 1: its block is perm(v, 0) = 1
-            m = self.f(1)
-            g = int(frac_factorial(m, self.alpha)[0] * d)
-            self._state = (min(m, depth), g, 0, factorial(m) if unknown else 0)
-        v_prev, g, nx, fact = self._state
-        x, sums, fact_sums = self.alpha.numerator, self.sums, self.fact_sums
-        for n in range(len(sums), n_terms + 1):
-            v = min(self.f(n), depth)
-            block = perm(v, v - v_prev)
-            g = g * block % d
-            nx = (nx + x) % d
-            sums.append(sums[-1] + e((nx + g) % d / d))
-            if unknown:
-                fact *= block
-                fact_sums.append(fact_sums[-1] + fact)
-            v_prev = v
-        self._state = (v_prev, g, nx, fact)
-        if not unknown:
-            return sums[n_terms], 0.0
-        budget = n_terms * (n_terms + 1) // 2 + fact_sums[n_terms]
-        return sums[n_terms], 2.0 * math.pi * (budget / d)
+def digit_sums(f: GrowthFunction, alpha: FactoradicReal) -> GeometricTail:
+    """S(N) = sum_{n<=N} e((n + f(n)!) X/D) for every N, X/D alpha's prefix (D = depth!,
+    X not 0, not reduced): the GeometricTail of A(f) there, whose head ends by f(n) = depth."""
+    x, d = alpha.numerator, factorial(alpha.depth)
+    return GeometricTail(x, d, _head_residues(f, x, d))
 
 
 def af_sum_factoradic(
     f: GrowthFunction, alpha: FactoradicReal, n_terms: int
 ) -> tuple[complex, float]:
-    """sum_{n<=N} e((n + f(n)!) alpha) from the digit prefix.
+    """(sum_{n<=N} e((n + f(n)!) alpha) from the digit prefix, phase_error).
 
-    Each phase is {n alpha} + {f(n)! alpha}, exact from the digits and
-    summed as one integer mod depth! (FactoradicProfile).  phase_error
-    bounds only the error from the digits past the prefix: 0 for a ZERO
-    tail; for an UNKNOWN one 2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth!, as
-    alpha is within 1/depth! of the prefix and {k alpha} moves by at most
-    k/depth!.  The float rounding of each phase, of e() and of the running
-    sum is not in it, and no bound on it is stated yet (ROADMAP.md, item 3).
+    The sum is S(N) of the (f, alpha) digit_sums, within its error(N), for
+    the head stepped so far plus O(1); an all-zero prefix gives N.
+    phase_error bounds the error from the digits past the prefix: 0 for a
+    ZERO tail, else 2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth!, as alpha is
+    within 1/depth! of the prefix and {k alpha} moves by at most k/depth!;
+    its factor f(N)!/depth! is frac_factorial(f(N), alpha)'s error bound.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    return profile(FactoradicProfile, f, alpha).value(n_terms)
+    phase_error = 0.0
+    if alpha.tail is Tail.UNKNOWN:
+        if alpha.depth <= f(n_terms) + 1:
+            raise InsufficientDepthError(f"N={n_terms} needs digits through position "
+                                         f"{f(n_terms) + 1}, have depth {alpha.depth}")
+        facts = list(itertools.islice(_factorials(f), n_terms))
+        budget = (n_terms * (n_terms + 1) // 2 + sum(facts)) * frac_factorial(f(n_terms), alpha)[1]
+        phase_error = 2.0 * math.pi * (budget.numerator / (budget.denominator * facts[-1]))
+    if not alpha.numerator:
+        return complex(n_terms), phase_error
+    return profile(digit_sums, f, alpha).value(n_terms), phase_error
 
 
 def _reciprocal_sum(b: Callable[[int], int], lo: int, hi: int) -> tuple[int, int]:

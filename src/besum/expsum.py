@@ -5,11 +5,11 @@ in (0,1) is a Fraction.  `GeometricTail` holds S(N) = sum_{n<=N} e(r_n/q)
 for every N when r_n = n p mod q past a head of H terms: the head is
 stepped only as far as a read asks, and past it S(N) is a geometric
 series in closed form, so a value or a sup costs O(log q) more whatever
-N.  Rational angles over A(f) (`construction.rational_sums`) and the {qn}
-demo are such sums.  Values carry a stated error bound, and moduli that
-floats cannot tell apart are ordered exactly, so the reported first
-index of a supremum does not depend on rounding.  `SumTrace` is the
-record a sum is reported in.
+N.  Rational and digit angles over A(f) (`construction.rational_sums`,
+`construction.digit_sums`) and the {qn} demo are such sums.  Values
+carry a stated error bound, and moduli that floats cannot tell apart are
+ordered exactly, so the reported first index of a supremum does not
+depend on rounding.  `SumTrace` is the record a sum is reported in.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import cmath
 import functools
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,8 +97,9 @@ def roots_at(residues: np.ndarray, q: int) -> np.ndarray:
     return np.exp(2j * np.pi * residues / q)
 
 
-def _sin_pi(a: int, m: int) -> float:
-    """sin(pi a/m) for integers a and m > 0, within 4u of exact relative to its size.
+def _sin_pi(a: int, m: int, sinpi=None) -> float:
+    """sin(pi a/m) for integers a and m > 0, within 4u of exact relative to its size
+    while that is a normal float, or sinpi(b, m) at the folded angle b/m when given.
 
     a is reduced exactly into [0, m/2] first, so the one rounded argument
     pi fl(a/m) is at most pi/2, where sin's relative condition is at most 1.
@@ -106,7 +108,7 @@ def _sin_pi(a: int, m: int) -> float:
     sign = 1.0
     if a >= m:
         a, sign = a - m, -1.0
-    return sign * math.sin(math.pi * (min(a, m - a) / m))
+    return sign * (sinpi(min(a, m - a), m) if sinpi else math.sin(math.pi * (min(a, m - a) / m)))
 
 
 def _first_in(a: int, m: int, lo: int, hi: int) -> int | None:
@@ -265,7 +267,8 @@ class GeometricTail:
     arg C - arg B.  Over N0 .. N0 + K - 1 the roots reached are the
     arithmetic progression N p mod q, and `_first_at` finds the first N
     whose root falls in a window, so the nearest reached root and every one
-    near enough to tie with it cost O(log q) each.
+    near enough to tie with it cost O(log q) each.  `value` and `error` hold
+    for p/q not reduced (digit angles); `sup` and `max_modulus` take it reduced.
     """
 
     def __init__(self, p: int, q: int, head: Iterator[int]):
@@ -288,7 +291,7 @@ class GeometricTail:
         have, q = len(self._residues), self.q
         if self.head is not None or n <= have:
             return
-        want = max(n, 2 * have, q * self._short) - have
+        want = min(max(n, 2 * have, q * self._short) - have, sys.maxsize)  # a head ends long before
         new = list(itertools.islice(self._head, want))
         self._residues += new
         if len(new) < want:
@@ -328,8 +331,19 @@ class GeometricTail:
 
     def _past(self, ks, head_sum: complex) -> list[complex]:
         """S(H + k) for each 1 <= k <= q in ks, S(H) being head_sum."""
-        h, p, q, sin = self.head, self.p, self.q, self._sin
-        return [head_sum + e((2 * h + k + 1) * p % (2 * q) / (2 * q)) * (_sin_pi(k * p, q) / sin) for k in ks]
+        h, p, q = self.head, self.p, self.q
+        return [head_sum + e((2 * h + k + 1) * p % (2 * q) / (2 * q)) * self._ratio(k) for k in ks]
+
+    def _ratio(self, k: int) -> float:
+        """sin(pi k x)/sin(pi x); in mpmath, which does not underflow, if sin(pi x) < 2^-1000."""
+        if self._sin > 2.0**-1000:
+            return _sin_pi(k * self.p, self.q) / self._sin
+        import mpmath
+
+        with mpmath.workprec(64):
+            top, bottom = (_sin_pi(a, self.q, lambda b, m: mpmath.sinpi(mpmath.mpf(b) / m))
+                           for a in (k * self.p, self.p))
+            return float(top / bottom)
 
     def error(self, n: int) -> float:
         """A bound on the error of every S(m) and |S(m)| read for m <= n (stepped to n first).
@@ -348,7 +362,7 @@ class GeometricTail:
         top = float(self._tops[m - 1]) if m else 0.0
         if n <= m:
             return (m + 2) * (ROOT_ERROR + 2 * UNIT_ROUNDOFF * top)
-        tail = min(n - m, self.q, 1.0 / self._sin)
+        tail = min(n - m, self.q, 1.0 / self._sin if self._sin else math.inf)
         return ((m + 2) * (ROOT_ERROR + 2 * UNIT_ROUNDOFF * (top + tail))
                 + tail * (ROOT_ERROR + 16 * UNIT_ROUNDOFF))
 
@@ -535,13 +549,13 @@ def dirichlet_bound(alpha: Fraction) -> float:
 def qn_counterexample_sup(q: int, alpha: Fraction, n_max: int) -> float:
     """sup_{N <= n_max} |S_{ {qn} }(alpha, N)|.
 
-    Bounded (geometric series) when q*alpha is not an integer; grows like
-    N/q when alpha = p/q, since every term is then e(0) = 1.  For
-    alpha = a/b the K = n_max // q terms are e(k qa/b), the GeometricTail
-    with an empty head at the angle qa/b in lowest terms, so the sup is
-    exactly n_max // q at resonance and otherwise its max over 1..K, within
-    its error(K): for b' = b / gcd(qa mod b, b) past SHORT_PERIOD,
-    2(ROOT_ERROR + 2u T) + T (ROOT_ERROR + 16u), T = min(K, b', 1/sin(pi qa/b)).
+    Bounded (geometric series) when q*alpha is not an integer; grows like N/q
+    when alpha = p/q, since every term is then e(0) = 1.  For alpha = a/b the
+    K = n_max // q terms are e(k qa/b), the GeometricTail with an empty head
+    at qa/b in lowest terms, so the sup is exactly n_max // q at resonance (a
+    ValueError past the float range), else its max over 1..K, within error(K):
+    for b' = b / gcd(qa mod b, b) past SHORT_PERIOD, 2(ROOT_ERROR + 2u T) +
+    T (ROOT_ERROR + 16u), T = min(K, b', 1/sin(pi qa/b)).
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -551,6 +565,8 @@ def qn_counterexample_sup(q: int, alpha: Fraction, n_max: int) -> float:
     a, b = alpha.numerator, alpha.denominator
     step = q * a % b
     if step == 0 or terms < 1:
+        if terms > sys.float_info.max:
+            raise ValueError("--N: the sup at resonance, N // q, is past the float range")
         return float(max(terms, 0))
     g = math.gcd(step, b)
     return GeometricTail(step // g, b // g, iter(())).max_modulus(1, terms)

@@ -116,8 +116,8 @@ def frac_factorial(m: int, f: FactoradicReal) -> tuple[Fraction, Fraction]:
     (m+1)(m+2)...depth, m! X/depth! = X/den, so that contribution is
     (X mod den)/den.  Returns (value, error_bound): the true {m! alpha}
     lies in [value, value + error_bound], with error_bound = 1/den =
-    m!/depth! for an UNKNOWN tail and 0 otherwise.  FactoradicProfile
-    reads it for term 1 only and steps the rest.
+    m!/depth! for an UNKNOWN tail and 0 otherwise.  The digit sums read
+    the bound at m = f(N) for an UNKNOWN tail's phase error.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -11,13 +11,16 @@ that the segment walk replaced, `mass_check_by_fractions` the
 Fraction interval loop that the integer one replaced,
 `dimension_lower_estimate_by_positions` the two-logs-per-position loop
 that one log per position replaced, and `condition_ii_series` the whole
-series whose running max `condition_ii_check` keeps.
+series whose running max `condition_ii_check` keeps.  `af_sum_50_digits`
+sums e((n + f(n)!) alpha) at a digit prefix in 50-digit mpmath.
 """
 
 import math
 import random
 from fractions import Fraction
 from math import factorial
+
+import mpmath
 
 from besum.construction import (
     E_UPPER,
@@ -33,7 +36,6 @@ from besum.dimension import (
     count_cylinders,
     log_chain_coefficient,
 )
-from besum.expsum import e
 from besum.factoradic import FactoradicReal, InsufficientDepthError, Tail, Trit, decode
 
 
@@ -270,30 +272,43 @@ def frac_factorial_by_digits(m: int, f: FactoradicReal) -> tuple[Fraction, Fract
     return value, Fraction(1, den)
 
 
-def af_sums_by_terms(
-    f: GrowthFunction, alpha: FactoradicReal, n_max: int
-) -> list[tuple[complex, float]]:
-    """(sum_{n<=N} e((n + f(n)!) alpha), phase error) for N = 1..n_max, in Fractions.
+def af_sum_50_digits(f: GrowthFunction, alpha: FactoradicReal, n_max: int) -> complex:
+    """sum_{n<=N} e((n + f(n)!) x) at the prefix x = X/depth!, in 50-digit mpmath.
 
-    Term by term: {n alpha} + {f(n)! alpha} exactly, then one float per
-    phase; the error adds n/depth! + f(n)!/depth! per term for an UNKNOWN
-    tail, whose depth the caller keeps above f(n_max) + 1.
+    Each phase is reduced mod 1 exactly, in Fractions, before it is rounded.
+    The n with f(n) < depth are summed term by term; past them f(n)! x is an
+    integer, and the K = N - n0 + 1 terms e(n x), n0 <= n <= N, are
+    e((2 n0 + K - 1) x/2) sin(pi K x)/sin(pi x).
     """
-    lower, _ = decode(alpha)
-    depth_fact = factorial(alpha.depth)
-    total = complex(0.0)
-    err = Fraction(0)
-    out = []
-    for n in range(1, n_max + 1):
-        n_phase = n * lower
-        n_phase -= int(n_phase)
-        m_phase, m_err = frac_factorial_by_digits(f(n), alpha)
-        phase = n_phase + m_phase
-        total += e(float(phase - int(phase)))
-        if alpha.tail is Tail.UNKNOWN:
-            err += Fraction(n, depth_fact) + m_err
-        out.append((total, 2.0 * math.pi * float(err)))
-    return out
+    x = decode(alpha)[0]
+    with mpmath.workdps(50):
+        def turn(t: Fraction):
+            t %= 1
+            return mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator)
+
+        def sin_pi(t: Fraction):  # from the distance of t to the nearest integer, so tiny sines keep their digits
+            sign, t = (-1) ** int(t % 2), t % 1
+            t = min(t, 1 - t)
+            return sign * mpmath.sinpi(mpmath.mpf(t.numerator) / t.denominator)
+
+        total, n = mpmath.mpc(0), 1
+        while n <= n_max and f(n) < alpha.depth:
+            total += turn((n + factorial(f(n))) * x)
+            n += 1
+        k = n_max - n + 1
+        if k > 0 and x:
+            total += turn((2 * n + k - 1) * x / 2) * sin_pi(k * x) / sin_pi(x)
+        elif k > 0:
+            total += k
+        return complex(total)
+
+
+def phase_error_formula(f: GrowthFunction, alpha: FactoradicReal, n_max: int) -> float:
+    """2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth! for an UNKNOWN tail, 0 for a ZERO one."""
+    if alpha.tail is Tail.ZERO:
+        return 0.0
+    budget = n_max * (n_max + 1) // 2 + sum(factorial(f(n)) for n in range(1, n_max + 1))
+    return 2.0 * math.pi * (budget / factorial(alpha.depth))
 
 
 def bound_series_sum(f: GrowthFunction, a: WeightSequence, n_terms: int) -> Fraction:

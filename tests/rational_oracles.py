@@ -7,9 +7,11 @@ by `np.correlate`.  `besum.expsum.GeometricTail` replaces both with a
 closed form past the head; the tests compare the two.
 """
 
+import itertools
+
 import numpy as np
 
-from besum.construction import GrowthFunction, _factorials
+from besum.construction import GrowthFunction
 from besum.expsum import ROOT_ERROR, UNIT_ROUNDOFF, roots_at, sign_at_root, vanishes_at_root
 
 
@@ -63,11 +65,14 @@ class RationalProfile:
     """
 
     def __init__(self, f: GrowthFunction, p: int, q: int):
-        head = []
-        for fact in _factorials(f, q):
+        head, fact, arg = [], 1, 0
+        for n in itertools.count(1):  # f(n)! mod q, one factor at a time, until it is 0
+            for k in range(arg + 1, f(n) + 1):
+                fact = fact * k % q
             if not fact:
                 break
             head.append(fact)
+            arg = f(n)
         self.head, self.q = len(head), q
         residues = np.arange(1, self.head + q + 1, dtype=np.int64)
         residues[:self.head] += np.array(head, dtype=np.int64)

@@ -24,7 +24,6 @@ from besum import dimension
 from besum.cli import Columns, _csv_text, _json_text, main
 from besum.construction import (
     DigitConstraintSet,
-    FactoradicProfile,
     get_growth,
     get_weights,
     profile,
@@ -162,10 +161,10 @@ class TestSumVerb:
 
     def test_a_depth_error_leaves_no_profile(self, runner, builds, tmp_path):
         digits = write_sample_digits(tmp_path / "a.digits", Fraction(1, 1009), depth=30)
-        built = builds(FactoradicProfile)
+        built = builds(GeometricTail)
         result = runner.invoke(main, ["sum", "--alpha-digits", str(digits), "--N", "50"])
         assert result.exit_code == 4, result.output
-        assert len(built) == 1
+        assert len(built) == 1  # read at N = 1, 2 and 5; N = 10 needs position 101
         assert profile.cache_info().currsize == 0
         del result  # its exception chain holds the frame that read the profile
         gc.collect()
@@ -201,6 +200,32 @@ class TestSumVerb:
                                       "--N", str(10**12)])
         assert result.exit_code == 0, result.output
         assert result.output.splitlines()[-1].startswith("500,997,1000000000000,")
+
+    def test_n_past_sys_maxsize(self, runner):
+        # The head is read through islice, whose count is capped at sys.maxsize.
+        rows = {}
+        for n in (10**18, 10**19):
+            result = runner.invoke(main, ["sup-sweep", "--qmax", "3", "--N", str(n)])
+            assert result.exit_code == 0, result.output
+            table = list(csv.DictReader(ln for ln in result.output.splitlines()
+                                        if not ln.startswith("#")))
+            assert {row.pop("N") for row in table} == {str(n)}
+            rows[n] = table
+        assert rows[10**19] == rows[10**18]
+        sups = []
+        for n in (10**18, 10**400):
+            result = runner.invoke(main, ["qn-demo", "--q", "2", "--alpha", "1/3", "--N", str(n)])
+            assert result.exit_code == 0, result.output
+            sups.append(json.loads(result.output)["empirical_sup"])
+        assert sups[0] == sups[1] == pytest.approx(1.0)
+
+    def test_resonant_qn_sup_past_the_float_range_is_a_config_error(self, runner):
+        result = runner.invoke(main, ["qn-demo", "--q", "2", "--alpha", "1/2", "--N", str(10**300)])
+        assert json.loads(result.output)["empirical_sup"] == float(10**300 // 2)
+        result = runner.invoke(main, ["qn-demo", "--q", "2", "--alpha", "1/2", "--N", str(10**400)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "error: --N: the sup at resonance, N // q, is past the float range\n"
 
 
 def test_in_process_invocations_release_their_output(runner):

@@ -1,17 +1,15 @@
-"""The batched factoradic path against the term-by-term references.
+"""The digit path against an independent reference.
 
-`af_sum_factoradic` steps every phase as one integer mod depth!: n X by
-adding X, and f(n)! X by block products of the factors below depth,
-starting from term 1's {f(1)! alpha}, which `frac_factorial` reads from
-X mod (depth!/f(1)!).  The references in digit_oracles walk the digits
-by Horner and add Fractions term by term.  The results must agree
-exactly, not within a tolerance: both round the same rationals once
-each, in the same order.
+`af_sum_factoradic` reads alpha's prefix X/depth! as a rational angle on
+`expsum.GeometricTail` (`construction.digit_sums`): the head steps
+f(n)! X mod depth!, and past it, where f(n) >= depth, the sum is a
+geometric series in closed form.  The reference, `af_sum_50_digits`,
+reduces every phase exactly in Fractions and sums in 50-digit mpmath; the
+engine's value must be within its stated `error(N)` of it.  phase_error
+must be the float of 2 pi (N(N+1)/2 + sum_{n<=N} f(n)!)/depth! bit for bit.
 """
 
-import random
 import time
-from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -22,6 +20,7 @@ from besum.cli import main
 from besum.construction import (
     DigitConstraintSet,
     af_sum_factoradic,
+    digit_sums,
     get_growth,
     get_weights,
     profile,
@@ -35,10 +34,12 @@ from besum.factoradic import (
     write_digit_file,
 )
 from digit_oracles import (
-    af_sums_by_terms,
+    af_sum_50_digits,
     bound_series_by_terms,
     bound_series_sum,
     frac_factorial_by_digits,
+    from_digit_map,
+    phase_error_formula,
 )
 
 GROWTH = ["identity", "n2", "n3", "pow2"]
@@ -51,51 +52,88 @@ def digit_values(draw):
     return FactoradicReal(digits, draw(st.sampled_from(Tail)))
 
 
-def allowed_n(f, alpha: FactoradicReal) -> int:
-    """The largest N to check.
+def first_past_depth(f, alpha: FactoradicReal) -> int:
+    """n0, the first n with f(n) >= depth: from it on f(n)! alpha's prefix is an integer."""
+    n = 1
+    while f(n) < alpha.depth:
+        n += 1
+    return n
 
-    An UNKNOWN tail allows every N with f(N) + 1 < depth.  A ZERO tail
-    allows any N; {f(n)! alpha} = 0 once f(n) >= depth, so a few N past
-    that point cover the rest.
-    """
+
+def deepest_n(f, alpha: FactoradicReal) -> int:
+    """The largest N an UNKNOWN tail allows: f(N) + 1 < depth (0 if none)."""
     n = 0
     while f(n + 1) + 1 < alpha.depth:
         n += 1
-    return n if alpha.tail is Tail.UNKNOWN else n + 3
+    return n
 
 
 def digits_upto(depth: int) -> tuple[int, ...]:
     return tuple(n // 2 for n in range(2, depth + 1))
 
 
-@given(f_name=st.sampled_from(GROWTH), alpha=digit_values(), rng=st.randoms())
+def assert_within_stated_error(f, alpha: FactoradicReal, n: int) -> None:
+    total, phase_error = af_sum_factoradic(f, alpha, n)
+    want = af_sum_50_digits(f, alpha, n)
+    err = profile(digit_sums, f, alpha).error(n) if alpha.numerator else 0.0
+    assert abs(total - want) <= err, (n, total, want, err)
+    assert phase_error == phase_error_formula(f, alpha, n), n
+
+
+@given(f_name=st.sampled_from(GROWTH), alpha=digit_values(),
+       big=st.lists(st.integers(1, 10**12), max_size=4), rng=st.randoms())
 # f(1) = 2 >= depth: every phase is n alpha.
-@example(f_name="pow2", alpha=FactoradicReal((1,), Tail.ZERO), rng=random.Random(0))
+@example(f_name="pow2", alpha=FactoradicReal((1,), Tail.ZERO), big=[10**12], rng=None)
 # One step from below depth 20 to past it: 16 -> 32 and 8 -> 27.
-@example(f_name="pow2", alpha=FactoradicReal(digits_upto(20), Tail.ZERO), rng=random.Random(0))
-@example(f_name="n3", alpha=FactoradicReal(digits_upto(20), Tail.ZERO), rng=random.Random(0))
+@example(f_name="pow2", alpha=FactoradicReal(digits_upto(20), Tail.ZERO), big=[10**9], rng=None)
+@example(f_name="n3", alpha=FactoradicReal(digits_upto(20), Tail.ZERO), big=[10**12], rng=None)
 # UNKNOWN tail read at its deepest N: f(5) + 1 = 26 = depth - 1.
-@example(f_name="n2", alpha=FactoradicReal(digits_upto(27), Tail.UNKNOWN), rng=random.Random(0))
+@example(f_name="n2", alpha=FactoradicReal(digits_upto(27), Tail.UNKNOWN), big=[], rng=None)
+# X/depth! within 2^-1000 of 0 and of 1: the closed form's sines come from mpmath.
+@example(f_name="n2", alpha=from_digit_map({300: 1}, 300), big=[10**12], rng=None)
+@example(f_name="identity", alpha=FactoradicReal(tuple(range(1, 300)), Tail.ZERO),
+         big=[10**12], rng=None)
 @settings(max_examples=60, deadline=None)
-def test_sums_and_phase_errors_equal_the_reference(f_name, alpha, rng):
+def test_sums_are_within_their_stated_error_of_the_50_digit_sum(f_name, alpha, big, rng):
     f = get_growth(f_name)
-    n_max = allowed_n(f, alpha)
-    want = af_sums_by_terms(f, alpha, n_max)
+    if alpha.tail is Tail.UNKNOWN:  # the first N and the deepest ones
+        top = deepest_n(f, alpha)
+        order = sorted({n for n in (*range(1, 13), top // 2, top - 1, top) if 1 <= n <= top})
+    else:  # through n0 and a few past it, then N up to 10^12
+        n0 = first_past_depth(f, alpha)
+        order = sorted({n for n in (*range(1, min(n0, 12) + 1), n0 - 1, n0, n0 + 1, n0 + 7) if n >= 1}) + big
+    if rng is not None:  # any order of N: the head is stepped only as far as a read asks
+        rng.shuffle(order)
     profile.cache_clear()
-    # Any order of N: the profile extends its partial sums only when asked for more,
-    # and reads frac_factorial for term 1 only.
-    order = list(range(1, n_max + 1))
-    rng.shuffle(order)
-    with mock.patch("besum.construction.frac_factorial", wraps=frac_factorial) as spy:
-        for n in order:
-            assert af_sum_factoradic(f, alpha, n) == want[n - 1], n
-    assert spy.call_count == min(n_max, 1)
+    for n in order:
+        assert_within_stated_error(f, alpha, n)
     if alpha.tail is Tail.UNKNOWN:
         with pytest.raises(InsufficientDepthError):
-            af_sum_factoradic(f, alpha, n_max + 1)
+            af_sum_factoradic(f, alpha, deepest_n(f, alpha) + 1)
     top = alpha.depth - 1 if alpha.tail is Tail.UNKNOWN else alpha.depth + 2
     for m in range(1, top + 1):
         assert frac_factorial(m, alpha) == frac_factorial_by_digits(m, alpha), m
+
+
+@pytest.mark.parametrize("tail", list(Tail))
+@pytest.mark.parametrize("f_name", GROWTH)
+def test_a_zero_prefix_sums_to_n(f_name, tail):
+    f, alpha = get_growth(f_name), FactoradicReal((0,) * 29, tail)  # depth 30
+    top = deepest_n(f, alpha) if tail is Tail.UNKNOWN else 10**12
+    for n in sorted({1, 2, top // 2 or 1, top}):
+        assert af_sum_factoradic(f, alpha, n) == (complex(n), phase_error_formula(f, alpha, n))
+
+
+@pytest.mark.parametrize("f_name", GROWTH)
+def test_an_unknown_tail_needs_depth_past_f_n_plus_1(f_name):
+    f = get_growth(f_name)
+    for n in (1, 2, 3):
+        deep = FactoradicReal(digits_upto(f(n) + 2), Tail.UNKNOWN)
+        assert_within_stated_error(f, deep, n)
+        shallow = FactoradicReal(digits_upto(f(n) + 1), Tail.UNKNOWN)
+        with pytest.raises(InsufficientDepthError, match=f"N={n} needs digits through "
+                           f"position {f(n) + 1}, have depth {f(n) + 1}"):
+            af_sum_factoradic(f, shallow, n)
 
 
 @pytest.mark.parametrize("f_name", GROWTH)
@@ -104,15 +142,6 @@ def test_bound_series_equals_the_fraction_loop(f_name, a_name):
     f, a = get_growth(f_name), get_weights(a_name)
     for n in [1, 2, 3, 7, 64, 199, 200]:
         assert bound_series_sum(f, a, n) == bound_series_by_terms(f, a, n), n
-
-
-def test_depth_1200_sample_matches_the_reference():
-    f = get_growth("n2")
-    alpha = sample_e_set(DigitConstraintSet(f, get_weights("n2")), 1200, 17)
-    profile.cache_clear()
-    want = af_sums_by_terms(f, alpha, 34)
-    for n in range(1, 35):
-        assert af_sum_factoradic(f, alpha, n) == want[n - 1], n
 
 
 def _digit_file(tmp_path, alpha: FactoradicReal):
@@ -127,21 +156,41 @@ def _sum_rows(output: str) -> list[list[str]]:
     return [ln.split(",") for ln in lines[1:]]
 
 
-def test_pow2_zero_tail_to_n60_is_fast_and_exact(tmp_path):
+def _check_sum_rows(f_name: str, alpha: FactoradicReal, output: str) -> list[int]:
+    f = get_growth(f_name)
+    rows = _sum_rows(output)
+    for row in rows:
+        n = int(row[1])
+        want = af_sum_50_digits(f, alpha, n)
+        err = profile(digit_sums, f, alpha).error(n)
+        assert abs(complex(float(row[2]), float(row[3])) - want) <= err, row
+        assert float(row[5]) == 0.0
+    return [int(r[1]) for r in rows]
+
+
+def test_pow2_zero_tail_to_n60_is_fast_and_within_its_error(tmp_path):
     # f(60)! is a number of about 2^66 bits; past the depth its phase is 0 and is never formed.
-    alpha = FactoradicReal(tuple(n // 2 for n in range(2, 41)), Tail.ZERO)
+    alpha = FactoradicReal(digits_upto(40), Tail.ZERO)
     start = time.process_time()
     result = CliRunner().invoke(main, ["sum", "--f", "pow2", "--alpha-digits",
                                        _digit_file(tmp_path, alpha), "--N", "60"])
     elapsed = time.process_time() - start
     assert result.exit_code == 0, result.output
     assert elapsed < 1.0
-    want = af_sums_by_terms(get_growth("pow2"), alpha, 60)
-    rows = _sum_rows(result.output)
-    assert [int(r[1]) for r in rows] == [1, 2, 5, 10, 20, 50, 60]
-    for row in rows:
-        total, err = want[int(row[1]) - 1]
-        assert (float(row[2]), float(row[3]), float(row[5])) == (total.real, total.imag, err)
+    assert _check_sum_rows("pow2", alpha, result.output) == [1, 2, 5, 10, 20, 50, 60]
+
+
+def test_depth_1200_sample_to_n_10_12_takes_under_a_second(tmp_path):
+    f = get_growth("n2")
+    alpha = sample_e_set(DigitConstraintSet(f, get_weights("n2")), 1200, 17)
+    path = _digit_file(tmp_path, alpha)
+    start = time.process_time()
+    result = CliRunner().invoke(main, ["sum", "--f", "n2", "--alpha-digits", path,
+                                       "--N", str(10**12)])
+    elapsed = time.process_time() - start
+    assert result.exit_code == 0, result.output
+    assert elapsed < 1.0
+    assert _check_sum_rows("n2", alpha, result.output)[-1] == 10**12
 
 
 @pytest.mark.parametrize("a_name, n_max, last", [
