@@ -310,7 +310,7 @@ def af_sum_rational(f: GrowthFunction, p: int, q: int, n_terms: int) -> SumTrace
     Read from the (f, p, q) rational_sums: the sum is S(N), the sup the max
     of |S(m)| over m <= N, and sup_at the first m at which the exact sup is
     reached.  The cost is the head read so far plus, for a long period
-    (q past expsum.SHORT_PERIOD = 3000), O(log q) window searches; a short
+    (q past expsum.SHORT_PERIOD = 3000), two O(log q) searches; a short
     one is summed through H + q once.  The sum, its modulus and the sup are
     each within the engine's error(N) of exact, below 1e-9 for q <= 1000.
     trace.count is N.
@@ -437,12 +437,15 @@ def bound_theoretical(
     fractional bits brackets it in an interval N (1 + e) 2^-K wide, whose
     float is taken when both ends round to it; otherwise the exact
     _bound_series is rounded.  O(N) small divisions per (f, a) and
-    ascending run of N.
+    ascending run of N.  A bound past the float range is a ValueError.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
     series = profile(BoundProfile, f, a).value(n_terms)
-    return dirichlet_bound(alpha) * (1.0 + 4.0 * math.pi * series)
+    bound = dirichlet_bound(alpha) * (1.0 + 4.0 * math.pi * series)
+    if bound == math.inf:
+        raise ValueError(f"angle {alpha}: the bound at N = {n_terms} is past the float range")
+    return bound
 
 
 def eq4_rhs(f: GrowthFunction, p: int, q: int) -> float:

@@ -27,8 +27,9 @@ DIGITS_ZERO, DIGITS_UNKNOWN, DIGITS_BAD = "zero.digits", "unknown.digits", "bad.
 COEFFS, COEFFS_BAD, MISSING = "c.coeffs", "bad.coeffs", "missing.file"
 
 # Tokens any option may be given: out of range, unparsable, non-finite, empty, and files.
-# "2/7", "1e-30" and "1/10000000000" are also angles in (0,1).
-POOL = ["0", "-1", "1/0", "2/7", "1e-30", "1/10000000000", "nan", "inf", "x", "",
+# "2/7", "1e-30", "1e-400" and "1/10000000000" are also angles in (0,1); at 1e-400,
+# 1/sin(pi alpha) is past the float range.
+POOL = ["0", "-1", "1/0", "2/7", "1e-30", "1e-400", "1/10000000000", "nan", "inf", "x", "",
         DIGITS_ZERO, DIGITS_UNKNOWN, DIGITS_BAD, COEFFS, COEFFS_BAD, MISSING]
 
 # None: the option is left out, which is in range where it has a default.

@@ -6,9 +6,12 @@ exact ties of moduli from polynomial division by the cyclotomic
 polynomial, and the periodic H + q-term profile of `rational_oracles`.
 """
 
+import csv
 import functools
 import itertools
+import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -27,7 +30,7 @@ from besum.expsum import (
     ROOT_ERROR,
     GeometricTail,
     _autocorrelation,
-    _first_at,
+    _first_below,
     qn_counterexample_sup,
     roots_at,
     sign_at_root,
@@ -181,6 +184,25 @@ def test_matches_the_periodic_profile(f_name, q, p_turn, n):
         assert abs(closed.max_modulus(q - 1, n) - oracle.max_modulus(q - 1, n)) <= tol
 
 
+@given(data=st.data(), f_name=st.sampled_from(F_NAMES), q=st.integers(3001, 20000),
+       p_turn=st.floats(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_long_period_arcs_match_the_periodic_profile(data, f_name, q, p_turn):
+    # Past SHORT_PERIOD every arc lo..hi through H + 2q (beyond it each N repeats one
+    # listed) is read in closed form: its max within the two stated errors of the
+    # oracle's, and the oracle's first N of the exact sup.
+    p = min(q - 1, max(1, int(p_turn * q)))
+    assume(math.gcd(p, q) == 1)
+    f = get_growth(f_name)
+    oracle, sums = RationalProfile(f, p, q), rational_sums(f, p, q)
+    assert not sums._short
+    lo = data.draw(st.integers(1, oracle.head + 2 * q))
+    hi = data.draw(st.integers(lo, oracle.head + 2 * q))
+    tol = sums.error(hi) + oracle.sums.error
+    assert abs(sums.max_modulus(lo, hi) - oracle.max_modulus(lo, hi)) <= tol
+    assert sums.sup(hi)[1] == oracle.sup(hi)[1]
+
+
 @pytest.mark.parametrize("f_name, q, n_max", [("identity", 19, 100), ("n2", 137, 10**9),
                                                ("n2", 11, 5), ("pow2", 8, 12)])
 def test_tail_sup_is_the_sup_from_q_minus_1(f_name, q, n_max):
@@ -303,7 +325,7 @@ class TestScale:
     """Work past the head is bounded by counts and memory, whatever q and N."""
 
     def run(self, monkeypatch, argv, traced=True) -> tuple[int, int]:
-        """(window searches, traced peak bytes or 0) of one in-process invocation."""
+        """(_first_in calls, traced peak bytes or 0) of one in-process invocation."""
         calls = []
         first_in = expsum._first_in
 
@@ -338,9 +360,9 @@ class TestScale:
         searches, _ = self.run(monkeypatch, ["sum", "--f", "n2", "--alpha", "1/1000003",
                                              "--N", str(10**18)], traced=False)
         # 55 schedule points past a head of 1000 terms (f(1000) = 10^6 < q <= f(1001)),
-        # each a few O(log q) window searches.
+        # each at most two O(log q) searches, none where the first root beyond the spread is reached.
         assert len(stepped) == 1000
-        assert searches <= 30_000
+        assert searches <= 48
 
     def test_identity_at_a_prime_near_10_7_steps_only_the_terms_read(self, monkeypatch):
         stepped = self.stepped(monkeypatch)
@@ -352,8 +374,58 @@ class TestScale:
     def test_qn_at_a_prime_near_10_9(self, monkeypatch):
         searches, peak = self.run(monkeypatch, ["qn-demo", "--q", "7", "--alpha", "1/1000000007",
                                                 "--N", str(10**12)])
-        assert searches <= 2_000
+        # Every root is reached (K > b), so `_first_below` answers 0 without a search.
+        assert searches <= 10
         assert peak <= 1_000_000
+
+
+def phase_sum(f_name: str, p: int, q: int, n: int):
+    """S(n) at the working precision from the exact phases r/q, r = (m + f(m)!) p mod q taken
+    in (-q/2, q/2], so that a phase within 10^-400 of a whole turn keeps its digits."""
+    f, fact, arg, total = get_growth(f_name), 1, 0, mpmath.mpc(0)
+    for m in range(1, n + 1):
+        for k in range(arg + 1, f(m) + 1) if fact else ():  # f(m)! mod q, until it is 0
+            fact = fact * k % q
+        arg = f(m)
+        r = (m + fact) * p % q
+        total += mpmath.expjpi(2 * mpmath.mpf(r - q * (2 * r > q)) / q)
+    return total
+
+
+class TestTinyAngles:
+    """Angles whose 1/sin(pi alpha) is past the float range, or subnormal."""
+
+    @pytest.mark.parametrize("alpha", ["1e-400", "0." + "9" * 400, "1e-310"],
+                             ids=["1e-400", "400-nines", "1e-310"])
+    def test_sum(self, alpha):
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, ["sum", "--f", "n2", "--alpha", alpha, "--N", "1000"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0, result.output
+        row = list(csv.DictReader(line for line in result.output.splitlines()
+                                  if not line.startswith("#")))[-1]
+        assert (row["N"], row["sup_at"]) == ("1000", "1000")
+        p, q = Fraction(alpha).numerator, Fraction(alpha).denominator
+        with mpmath.workdps(50):
+            want = abs(phase_sum("n2", p, q, 1000))
+        assert abs(float(row["modulus"]) - want) <= rational_sums(get_growth("n2"), p, q).error(1000)
+
+    def test_qn_demo(self):
+        # The terms e(2k 10^-400), k <= 500: the sup is |S(500)|, just under 500.
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, ["qn-demo", "--q", "2", "--alpha", "1e-400", "--N", "1000"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0, result.output
+        with mpmath.workdps(50):
+            want = abs(mpmath.fsum(mpmath.expjpi(4 * k * mpmath.mpf(10) ** -400) for k in range(1, 501)))
+        assert abs(json.loads(result.output)["empirical_sup"] - want) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", ["1e-400", "1e-320", "1e-308"])
+    def test_bound_past_the_float_range_is_a_config_error(self, alpha):
+        result = CliRunner().invoke(main, ["bound", "--alpha", alpha, "--N", "10"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "past the float range" in result.output
 
 
 class TestExactTies:
@@ -491,13 +563,13 @@ class TestExactTies:
         assert abs(value - top) <= 1e-9
 
     @given(a=st.integers(0, 300), b=st.integers(0, 300), m=st.integers(1, 300),
-           lo=st.integers(-300, 300), width=st.integers(0, 300))
+           count=st.integers(1, 300))
     @settings(max_examples=300, deadline=None)
-    def test_window_search_is_the_first_index(self, a, b, m, lo, width):
-        # The first i with (a i + b) mod m in the circular window lo .. lo + width.
-        window = {k % m for k in range(lo, lo + width + 1)}
-        want = next((i for i in range(m) if (a * i + b) % m in window), None)
-        assert _first_at(a % m, b % m, m, lo, lo + width) == want
+    def test_first_below_is_the_first_index(self, a, b, m, count):
+        # The least i with (a i + b) mod m < count, by brute force over one period of i.
+        count = min(count, m)
+        want = next((i for i in range(m) if (a * i + b) % m < count), None)
+        assert _first_below(a % m, b % m, m, count) == want
 
 
 def poly_product_sparse(a: list[int], b: list[int], q: int) -> list[int]:
